@@ -95,12 +95,15 @@ fn request_row(c: usize, i: usize, seed: u64, warm_rows: usize) -> usize {
     (c * 7919 + i * 104_729 + seed as usize) % warm_rows
 }
 
-/// One arm's latency profile.
+/// One arm's latency profile. The store hit rate and invocations per
+/// request are `None` where the arm cannot observe them (a server in
+/// another process, or the tenancy keepalive mix) and are then left out
+/// of the JSON rather than written as zeros.
 struct ArmStats {
     wall_s: f64,
     latencies_ms: Vec<f64>,
-    store_hit_rate: f64,
-    invocations_per_request: f64,
+    store_hit_rate: Option<f64>,
+    invocations_per_request: Option<f64>,
 }
 
 impl ArmStats {
@@ -123,18 +126,23 @@ impl ArmStats {
     }
 
     fn to_json(&self) -> String {
-        format!(
+        let mut json = format!(
             "{{\"throughput_rps\": {:.3}, \"mean_ms\": {:.4}, \"p50_ms\": {:.4}, \
-             \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \"store_hit_rate\": {:.6}, \
-             \"invocations_per_request\": {:.3}}}",
+             \"p95_ms\": {:.4}, \"p99_ms\": {:.4}",
             self.throughput_rps(),
             self.mean_ms(),
             self.percentile_ms(0.50),
             self.percentile_ms(0.95),
             self.percentile_ms(0.99),
-            self.store_hit_rate,
-            self.invocations_per_request
-        )
+        );
+        if let Some(rate) = self.store_hit_rate {
+            json.push_str(&format!(", \"store_hit_rate\": {rate:.6}"));
+        }
+        if let Some(inv) = self.invocations_per_request {
+            json.push_str(&format!(", \"invocations_per_request\": {inv:.3}"));
+        }
+        json.push('}');
+        json
     }
 }
 
@@ -263,8 +271,8 @@ fn main() {
         let stats = ArmStats {
             wall_s,
             latencies_ms,
-            store_hit_rate: 0.0,
-            invocations_per_request: 0.0,
+            store_hit_rate: None,
+            invocations_per_request: None,
         };
         println!(
             "external: {:.1} req/s, mean {} ms, p95 {} ms",
@@ -326,20 +334,22 @@ fn main() {
         let (wall_s, latencies_ms) = drive_clients(&addr, concurrency, requests, seed, warm_rows);
         handle.shutdown();
         let served = handle.wait();
+        let hits = hit_rate(&sink);
+        let inv =
+            (engine_for_stats.invocations() - prime_invocations) as f64 / served.max(1) as f64;
         let stats = ArmStats {
             wall_s,
             latencies_ms,
-            store_hit_rate: hit_rate(&sink),
-            invocations_per_request: (engine_for_stats.invocations() - prime_invocations) as f64
-                / served.max(1) as f64,
+            store_hit_rate: Some(hits),
+            invocations_per_request: Some(inv),
         };
         println!(
             "warm: {:.1} req/s, mean {} ms, p95 {} ms, store hit rate {}, {} invocations/request",
             stats.throughput_rps(),
             f2(stats.mean_ms()),
             f2(stats.percentile_ms(0.95)),
-            f2(stats.store_hit_rate),
-            f2(stats.invocations_per_request)
+            f2(hits),
+            f2(inv)
         );
         stats
     };
@@ -381,20 +391,21 @@ fn main() {
                 latencies_ms.extend(h.join().expect("cold client thread"));
             }
         });
+        let hits = hit_rate(&sink);
+        let inv = (clf.invocations() - invocations0) as f64 / requests.max(1) as f64;
         let stats = ArmStats {
             wall_s: t0.elapsed().as_secs_f64(),
             latencies_ms,
-            store_hit_rate: hit_rate(&sink),
-            invocations_per_request: (clf.invocations() - invocations0) as f64
-                / requests.max(1) as f64,
+            store_hit_rate: Some(hits),
+            invocations_per_request: Some(inv),
         };
         println!(
             "cold: {:.1} req/s, mean {} ms, p95 {} ms, store hit rate {}, {} invocations/request",
             stats.throughput_rps(),
             f2(stats.mean_ms()),
             f2(stats.percentile_ms(0.95)),
-            f2(stats.store_hit_rate),
-            f2(stats.invocations_per_request)
+            f2(hits),
+            f2(inv)
         );
         stats
     };
@@ -1067,8 +1078,8 @@ fn main() {
         ArmStats {
             wall_s: t0.elapsed().as_secs_f64(),
             latencies_ms: all,
-            store_hit_rate: 0.0,
-            invocations_per_request: 0.0,
+            store_hit_rate: None,
+            invocations_per_request: None,
         }
     };
     println!(

@@ -110,7 +110,6 @@ impl ShahinBatch {
 
         let fill_span = self.obs.span(names::SPAN_MATERIALIZE_FILL);
         let mut store = PerturbationStore::new(itemsets, self.config.cache_budget_bytes);
-        store.set_match_engine(self.config.match_engine);
         store.attach_obs(&self.obs);
         // "The parameter τ is set automatically by Shahin based on the
         // resource constraints" (§3.1): τ only pays off up to the point

@@ -1,7 +1,5 @@
 //! Configuration for the batch and streaming optimizers.
 
-use crate::store::MatchEngine;
-
 /// Which frequent itemset mining algorithm the batch optimizer uses.
 /// Both produce identical itemsets; FP-Growth avoids candidate generation
 /// and is faster on dense batches (the "smarter frequent itemset
@@ -46,11 +44,6 @@ pub struct BatchConfig {
     /// thread-count invariant for LIME/SHAP (see DESIGN.md, "Threading
     /// model & determinism").
     pub n_threads: Option<usize>,
-    /// Containment engine of the perturbation store (DESIGN.md §5g). The
-    /// default bitset engine and the legacy postings engine return
-    /// identical ids; the knob exists so benchmarks and equivalence tests
-    /// can run the old layout end-to-end.
-    pub match_engine: MatchEngine,
 }
 
 impl BatchConfig {
@@ -76,7 +69,6 @@ impl Default for BatchConfig {
             auto_tau: true,
             miner: Miner::default(),
             n_threads: None,
-            match_engine: MatchEngine::default(),
         }
     }
 }

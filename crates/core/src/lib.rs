@@ -87,7 +87,7 @@ pub use runner::{
 };
 pub use shap_source::StoreCoalitionSource;
 pub use snapshot::{fault, SnapshotError, FORMAT_VERSION as SNAPSHOT_FORMAT_VERSION};
-pub use store::{per_itemset_seed, LookupStats, MatchEngine, PerturbationStore};
+pub use store::{per_itemset_seed, LookupStats, PerturbationStore};
 pub use streaming::ShahinStreaming;
 pub use summarize::{
     summarize_attributions, summarize_rules, top_k_overlap, AttributionSummary, RuleSummary,

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use shahin_explain::{
     labeled_perturbation, labeled_perturbations_batch_timed, ExplainContext, LabeledSample,
 };
-use shahin_fim::{BitsetDomain, Itemset, ItemsetIndex, MatchScratch};
+use shahin_fim::{BitsetDomain, Itemset, MatchScratch};
 use shahin_model::Classifier;
 use shahin_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -47,20 +47,10 @@ pub struct LookupStats {
     pub samples_available: u64,
 }
 
-/// Which containment engine the `matching*` family dispatches to.
-///
-/// Both engines give the same answer in the same (ascending-id) order —
-/// [`MatchEngine::Bitset`] is the cache-conscious default,
-/// [`MatchEngine::Postings`] pins the legacy hash-postings index for
-/// equivalence tests and old-vs-new benchmarks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MatchEngine {
-    /// Dictionary-encoded `[u64; W]` masks, AND/EQ scan ([`BitsetDomain`]).
-    #[default]
-    Bitset,
-    /// Per-item hash postings with hit counting ([`ItemsetIndex`]).
-    Postings,
-}
+/// The snapshot's matcher byte. Format version 1 reserved one byte for a
+/// choice of containment engine; the bitset matcher is the only one, so
+/// the byte is always 0 and any other value marks a corrupt payload.
+const MATCHER_BYTE: u8 = 0;
 
 /// One itemset's materialized samples. Only touched when samples are
 /// actually read or written — the `matching*` hot path works off the
@@ -106,9 +96,7 @@ pub struct PerturbationStore {
     n_samples: Vec<u32>,
     /// Dense per-itemset LRU clocks (see `clock`); same rationale.
     last_used: Vec<u64>,
-    index: ItemsetIndex,
     domain: BitsetDomain,
-    engine: MatchEngine,
     budget: usize,
     used_bytes: usize,
     peak_bytes: usize,
@@ -118,11 +106,9 @@ pub struct PerturbationStore {
 
 impl PerturbationStore {
     /// Creates an empty store over the given itemsets (typically the mined
-    /// frequent itemsets, highest support first). Both containment engines
-    /// are built here — the bitset masks are derived from the same itemset
-    /// list as the postings index, so either can serve `matching*`.
+    /// frequent itemsets, highest support first) and builds the bitset
+    /// dictionary that serves `matching*`.
     pub fn new(itemsets: Vec<Itemset>, budget_bytes: usize) -> PerturbationStore {
-        let index = ItemsetIndex::new(&itemsets);
         let domain = BitsetDomain::new(&itemsets);
         let base: usize = itemsets.iter().map(Itemset::approx_bytes).sum();
         let entries = vec![StoreEntry::default(); itemsets.len()];
@@ -131,26 +117,13 @@ impl PerturbationStore {
             last_used: vec![0; itemsets.len()],
             itemsets,
             entries,
-            index,
             domain,
-            engine: MatchEngine::default(),
             budget: budget_bytes,
             used_bytes: base,
             peak_bytes: base,
             clock: 0,
             obs: StoreObs::default(),
         }
-    }
-
-    /// The containment engine `matching*` currently dispatches to.
-    #[inline]
-    pub fn match_engine(&self) -> MatchEngine {
-        self.engine
-    }
-
-    /// Selects the containment engine (answers are identical either way).
-    pub fn set_match_engine(&mut self, engine: MatchEngine) {
-        self.engine = engine;
     }
 
     /// Wires the store's metrics (`store.*` counters and gauges, the
@@ -397,20 +370,17 @@ impl PerturbationStore {
     }
 
     /// Raw containment: ids of tracked itemsets contained in `row_codes`,
-    /// in ascending order, via whichever engine is selected. Everything in
-    /// the `matching*` family funnels through here.
+    /// in ascending order. Everything in the `matching*` family funnels
+    /// through here.
     #[inline]
     fn contained_ids(&self, row_codes: &[u32], scratch: &mut MatchScratch) -> Vec<u32> {
-        match self.engine {
-            MatchEngine::Bitset => self.domain.contained_in_with(row_codes, scratch),
-            MatchEngine::Postings => self.index.contained_in_with(row_codes, &mut scratch.counts),
-        }
+        self.domain.contained_in_with(row_codes, scratch)
     }
 
     /// The one lookup core behind the `matching*` family: containment ids,
     /// filtered down to entries with materialized samples, with hit/miss/
     /// availability accounting recorded. Read-only — the mutable variant
-    /// layers its LRU touch on top, so the bitset/postings dispatch and the
+    /// layers its LRU touch on top, so the containment call and the
     /// filtering logic live exactly once.
     fn lookup_core(
         &self,
@@ -514,8 +484,8 @@ impl PerturbationStore {
     }
 
     /// Serializes the store's full warm state — itemsets, every
-    /// materialized sample, LRU clocks, byte budget/high-watermark, engine
-    /// selection, and the bitset dictionary — as a snapshot payload.
+    /// materialized sample, LRU clocks, byte budget/high-watermark, and the
+    /// bitset dictionary — as a snapshot payload.
     /// [`PerturbationStore::load_snapshot`] is the inverse.
     pub(crate) fn dump_snapshot(&self) -> Vec<u8> {
         let mut e = Enc::new();
@@ -523,10 +493,7 @@ impl PerturbationStore {
         for set in &self.itemsets {
             e.itemset(set);
         }
-        e.u8(match self.engine {
-            MatchEngine::Bitset => 0,
-            MatchEngine::Postings => 1,
-        });
+        e.u8(MATCHER_BYTE);
         e.u64(self.budget as u64);
         e.u64(self.peak_bytes as u64);
         e.u64(self.clock);
@@ -548,8 +515,8 @@ impl PerturbationStore {
     }
 
     /// Reconstructs a store from a [`PerturbationStore::dump_snapshot`]
-    /// payload. Derivable state (postings index, per-entry byte and sample
-    /// counts, resident-byte total) is recomputed rather than trusted, and
+    /// payload. Derivable state (per-entry byte and sample counts,
+    /// resident-byte total) is recomputed rather than trusted, and
     /// structural invariants — every sample contains its itemset, the
     /// dictionary covers the itemset list, LRU clocks are in range — are
     /// verified, so a payload that passed its CRC but was written wrong
@@ -563,11 +530,9 @@ impl PerturbationStore {
         for _ in 0..n {
             itemsets.push(d.itemset()?);
         }
-        let engine = match d.u8()? {
-            0 => MatchEngine::Bitset,
-            1 => MatchEngine::Postings,
-            _ => return Err(corrupt("unknown match engine")),
-        };
+        if d.u8()? != MATCHER_BYTE {
+            return Err(corrupt("unknown match engine"));
+        }
         let budget = d.u64()? as usize;
         let peak_bytes = d.u64()? as usize;
         let clock = d.u64()?;
@@ -620,15 +585,12 @@ impl PerturbationStore {
         if peak_bytes < used_bytes {
             return Err(corrupt("peak bytes below resident bytes"));
         }
-        let index = ItemsetIndex::new(&itemsets);
         Ok(PerturbationStore {
             n_samples,
             last_used,
             itemsets,
             entries,
-            index,
             domain,
-            engine,
             budget,
             used_bytes,
             peak_bytes,
@@ -944,11 +906,10 @@ mod tests {
     }
 
     #[test]
-    fn bitset_and_postings_engines_agree() {
+    fn lookups_match_brute_force_and_skip_empty_entries() {
         let ctx = ctx();
         let clf = MajorityClass::fit(&[1]);
         let mut store = PerturbationStore::new(itemsets(), usize::MAX);
-        assert_eq!(store.match_engine(), MatchEngine::Bitset);
         let mut rng = StdRng::seed_from_u64(11);
         store.materialize(&ctx, &clf, 4, &mut rng);
         // Empty out one entry so the hit-filtering path is exercised too.
@@ -966,15 +927,15 @@ mod tests {
             vec![9999u32; ctx.n_attrs()],
         ];
         for row in &rows {
-            store.set_match_engine(MatchEngine::Bitset);
-            let all_b = store.matching_all(row, &mut scratch);
-            let (ids_b, stats_b) = store.matching_read_stats(row, &mut scratch);
-            store.set_match_engine(MatchEngine::Postings);
-            let all_p = store.matching_all(row, &mut scratch);
-            let (ids_p, stats_p) = store.matching_read_stats(row, &mut scratch);
-            assert_eq!(all_b, all_p);
-            assert_eq!(ids_b, ids_p);
-            assert_eq!(stats_b, stats_p);
+            let brute: Vec<u32> = (0..store.len() as u32)
+                .filter(|&id| store.itemsets[id as usize].contained_in(row))
+                .collect();
+            assert_eq!(store.matching_all(row, &mut scratch), brute);
+            let (ids, stats) = store.matching_read_stats(row, &mut scratch);
+            let filled: Vec<u32> = brute.iter().copied().filter(|&id| id != 1).collect();
+            assert_eq!(ids, filled);
+            assert_eq!(stats.hits, filled.len() as u64);
+            assert_eq!(stats.misses, (brute.len() - filled.len()) as u64);
         }
     }
 
@@ -1005,12 +966,11 @@ mod tests {
         assert_eq!(loaded.used_bytes, store.used_bytes);
         assert_eq!(loaded.peak_bytes, store.peak_bytes);
         assert_eq!(loaded.budget, store.budget);
-        assert_eq!(loaded.match_engine(), store.match_engine());
         for id in 0..3u32 {
             assert_eq!(loaded.samples(id), store.samples(id));
         }
-        // The loaded store answers lookups identically through both the
-        // loaded dictionary and the rebuilt postings index.
+        // The loaded store answers lookups identically through the loaded
+        // dictionary.
         let (ids_a, stats_a) = store.matching_read_stats(&row, &mut scratch);
         let (ids_b, stats_b) = loaded.matching_read_stats(&row, &mut scratch);
         assert_eq!(ids_a, ids_b);
@@ -1037,6 +997,22 @@ mod tests {
         let mut padded = payload.clone();
         padded.push(0);
         assert!(PerturbationStore::load_snapshot(&padded).is_err());
+    }
+
+    #[test]
+    fn snapshot_matcher_byte_is_zero_and_other_values_are_corrupt() {
+        let store = PerturbationStore::new(itemsets(), usize::MAX);
+        let payload = store.dump_snapshot();
+        // The byte follows the itemset list: a u64 count, then per itemset
+        // a u32 length and a (u32, u32) pair per item.
+        let at = 8 + itemsets().iter().map(|s| 4 + 8 * s.len()).sum::<usize>();
+        assert_eq!(payload[at], 0);
+        for byte in [1u8, 2, u8::MAX] {
+            let mut bad = payload.clone();
+            bad[at] = byte;
+            let err = PerturbationStore::load_snapshot(&bad).unwrap_err();
+            assert_eq!(err.kind(), "corrupt", "matcher byte {byte}");
+        }
     }
 
     proptest::proptest! {

@@ -57,7 +57,7 @@ use crate::shap_source::{pool_coalitions, StoreCoalitionSource};
 use crate::snapshot::{
     Dec, Enc, SnapshotError, SnapshotReader, SnapshotWriter, TAG_CACHES, TAG_META, TAG_STORE,
 };
-use crate::store::{MatchEngine, PerturbationStore};
+use crate::store::PerturbationStore;
 
 /// The explainer a [`WarmEngine`] serves (one per engine; a service that
 /// offers several runs several engines over the same warm set).
@@ -161,10 +161,9 @@ fn snapshot_fingerprint(
             Miner::Apriori => 0,
             Miner::FpGrowth => 1,
         },
-        match config.match_engine {
-            MatchEngine::Bitset => 0,
-            MatchEngine::Postings => 1,
-        },
+        // Once the containment-engine selector; kept as a constant so
+        // snapshots written before its removal still hydrate.
+        0,
         seed,
         warm.n_rows() as u64,
         n_attrs as u64,
@@ -558,7 +557,6 @@ impl<C: Classifier> WarmEngine<C> {
             caches,
         } = parts;
         register_standard(reg);
-        store.set_match_engine(config.match_engine);
         store.attach_obs(reg);
         let table = ctx.discretizer().encode_dataset(&warm);
         let shahin = ShahinBatch::new(config).with_obs(reg);
@@ -1430,5 +1428,21 @@ mod tests {
         );
         let snap = reg.snapshot();
         assert_eq!(snap.counter(names::RESILIENCE_TUPLES_FAILED), failed as u64);
+    }
+
+    /// The value was captured while `BatchConfig` still carried an engine
+    /// selector; matching it means default-config `.shws` files written
+    /// then still hydrate.
+    #[test]
+    fn default_config_fingerprint_is_pinned() {
+        let (_, _, warm) = setup();
+        let fp = snapshot_fingerprint(
+            &BatchConfig::default(),
+            &WarmExplainer::Lime(lime()),
+            &warm,
+            warm.n_attrs(),
+            11,
+        );
+        assert_eq!(fp, 0x9c13_1efe_b8bd_cf17);
     }
 }

@@ -154,7 +154,8 @@ pub fn labeled_perturbations_batch_timed(
     let mut codes_list = Vec::with_capacity(count);
     // One flat row-major buffer for the whole batch: no per-row
     // `Vec<Feature>` allocations, and the classifier's flat fast path
-    // (e.g. `FlatForest`) consumes it without re-framing.
+    // (e.g. `RandomForest`'s chunked walker) consumes it without
+    // re-framing.
     let mut rows = Vec::with_capacity(count * n_attrs);
     for _ in 0..count {
         let codes = perturb_codes(ctx, frozen, rng);

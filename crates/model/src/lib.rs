@@ -38,7 +38,6 @@
 pub mod chaos;
 pub mod classifier;
 pub mod error;
-pub mod flat;
 pub mod forest;
 pub mod gbm;
 pub mod instrument;
@@ -50,8 +49,7 @@ pub mod tree;
 pub use chaos::{ChaosClassifier, ChaosConfig, ChaosSnapshot};
 pub use classifier::{Classifier, MajorityClass};
 pub use error::PredictError;
-pub use flat::FlatForest;
-pub use forest::{ForestLayout, ForestParams, RandomForest};
+pub use forest::{ForestParams, RandomForest};
 pub use gbm::{GbmParams, GradientBoosting};
 pub use instrument::{
     CountingClassifier, InvocationSnapshot, LatencyCost, SimulatedCost, TracedClassifier,

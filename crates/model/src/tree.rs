@@ -36,10 +36,9 @@ impl Default for TreeParams {
     }
 }
 
-/// Arena-allocated tree node. Crate-visible so [`crate::flat::FlatForest`]
-/// can re-pack fitted trees into its contiguous arrays.
+/// Arena-allocated tree node.
 #[derive(Clone, Debug)]
-pub(crate) enum Node {
+enum Node {
     Leaf {
         proba: f64,
     },
@@ -310,12 +309,6 @@ impl DecisionTree {
     /// Number of nodes (for size diagnostics).
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The node arena (root at index 0), for flattening.
-    #[inline]
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
     }
 
     /// Tree depth.

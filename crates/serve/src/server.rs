@@ -582,8 +582,11 @@ fn handle_frame<C: Classifier>(line: &str, conn: &Arc<Conn>, shared: &Shared<C>)
                 conn.send(&error_frame(id, &WireError::forbidden()));
                 return;
             }
-            conn.send(&shutdown_frame(id));
+            // Effect before ack: once the client reads `shutting_down`,
+            // admission is already closed, so every later explain gets
+            // its 503 instead of slipping into the drain.
             shared.trigger_shutdown();
+            conn.send(&shutdown_frame(id));
         }
         Request::Metrics { id, format } => {
             if !admin_permitted(conn.peer_loopback, shared.config.allow_remote_shutdown) {

@@ -1,17 +1,20 @@
-//! Equivalence tests for the cache-conscious layouts (DESIGN.md §5g): the
-//! bitset containment engine must agree bit-for-bit with the legacy
-//! postings index, the CSR-flattened forest with the nested trees, and the
-//! end-to-end drivers must produce identical explanations and invocation
-//! counts under either representation at 1/2/8 threads.
+//! Golden-fingerprint tests for the forest walker and the itemset matcher
+//! (DESIGN.md §5g). The committed fingerprints and invocation counts were
+//! captured while a second forest layout and a second matcher still
+//! existed and every test asserted that both agreed; any drift in the one
+//! remaining path changes them. The bitset matcher is also checked
+//! against brute-force containment on random families.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shahin::{run, BatchConfig, ExplainerKind, Explanation, MatchEngine, Method};
-use shahin_explain::{ExplainContext, KernelShapExplainer, LimeExplainer, LimeParams, ShapParams};
-use shahin_fim::{BitsetDomain, Item, Itemset, ItemsetIndex, MatchScratch};
-use shahin_model::{Classifier, CountingClassifier, ForestLayout, ForestParams, RandomForest};
+use shahin::{run, BatchConfig, ExplainerKind, Explanation, Method};
+use shahin_explain::{
+    AnchorExplainer, ExplainContext, KernelShapExplainer, LimeExplainer, LimeParams, ShapParams,
+};
+use shahin_fim::{BitsetDomain, Item, Itemset, MatchScratch};
+use shahin_model::{Classifier, CountingClassifier, ForestParams, RandomForest};
 use shahin_tabular::{train_test_split, Dataset, DatasetPreset};
 
 /// A random non-empty itemset over `n_attrs` attributes with codes below
@@ -24,30 +27,26 @@ fn itemset_strategy(n_attrs: usize, card: u32) -> impl Strategy<Value = Itemset>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Bitset containment == postings containment == brute force, on
-    /// random families and rows. `n_attrs × card` ranges past 64 so the
-    /// multi-word (`W > 1`) mask path is exercised, and rows draw codes
-    /// beyond `card` so out-of-dictionary handling is covered.
+    /// Bitset containment == brute force, on random families and rows.
+    /// `n_attrs × card` ranges past 64 so the multi-word (`W > 1`) mask
+    /// path is exercised, and rows draw codes beyond `card` so
+    /// out-of-dictionary handling is covered.
     #[test]
-    fn bitset_matches_postings_and_brute_force(
+    fn bitset_matches_brute_force(
         sets in proptest::collection::vec(itemset_strategy(12, 10), 1..24),
         rows in proptest::collection::vec(
             proptest::collection::vec(0u32..14, 12), 1..16),
     ) {
         let domain = BitsetDomain::new(&sets);
-        let index = ItemsetIndex::new(&sets);
         let mut scratch = MatchScratch::new();
         for row in &rows {
-            let via_bits = domain.contained_in_with(row, &mut scratch);
-            let via_postings = index.contained_in_with(row, &mut scratch.counts);
-            prop_assert_eq!(&via_bits, &via_postings, "row {:?}", row);
             let brute: Vec<u32> = sets
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.contained_in(row))
                 .map(|(i, _)| i as u32)
                 .collect();
-            prop_assert_eq!(via_bits, brute, "row {:?}", row);
+            prop_assert_eq!(domain.contained_in_with(row, &mut scratch), brute, "row {:?}", row);
         }
     }
 
@@ -99,95 +98,144 @@ fn forest_world() -> (Dataset, RandomForest, ExplainContext, Dataset) {
     (split.train, forest, ctx, batch)
 }
 
+/// FNV-1a over a stream of bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
+        }
+    }
+
+    fn eat_f64(&mut self, v: f64) {
+        self.eat(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// FNV-1a over the bit-exact content of every explanation: weights,
+/// intercept and local prediction; rule items, precision, coverage and
+/// anchored class.
+fn explanation_fingerprint(explanations: &[Explanation]) -> u64 {
+    let mut h = Fnv::new();
+    for e in explanations {
+        match e {
+            Explanation::Weights(w) => {
+                h.eat(b"W");
+                for &v in &w.weights {
+                    h.eat_f64(v);
+                }
+                h.eat_f64(w.intercept);
+                h.eat_f64(w.local_prediction);
+            }
+            Explanation::Rule(r) => {
+                h.eat(b"R");
+                for item in r.rule.items() {
+                    h.eat(&item.attr.to_le_bytes());
+                    h.eat(&item.code.to_le_bytes());
+                }
+                h.eat_f64(r.precision);
+                h.eat_f64(r.coverage);
+                h.eat(&[r.anchored_class]);
+            }
+        }
+    }
+    h.0
+}
+
+fn predictions_fingerprint(probs: &[f64]) -> u64 {
+    let mut h = Fnv::new();
+    for &p in probs {
+        h.eat_f64(p);
+    }
+    h.0
+}
+
+/// Fingerprint of the forest's probabilities on the first 200 training
+/// rows of [`forest_world`].
+const GOLDEN_FOREST: u64 = 0x55bb_850a_c01f_ced8;
+
+/// `(explainer, threads, invocations, explanation fingerprint)` for the
+/// [`forest_world`] batch at seed 23.
+const GOLDEN_DRIVERS: [(&str, usize, u64, u64); 7] = [
+    ("LIME", 1, 708, 0xa7a7_b7ae_42cb_759c),
+    ("LIME", 2, 708, 0xa7a7_b7ae_42cb_759c),
+    ("LIME", 8, 708, 0xa7a7_b7ae_42cb_759c),
+    ("SHAP", 1, 1356, 0xfd0a_bb84_814a_4c10),
+    ("SHAP", 2, 1356, 0xfd0a_bb84_814a_4c10),
+    ("SHAP", 8, 1356, 0xfd0a_bb84_814a_4c10),
+    ("Anchor", 1, 91461, 0x0d5c_46af_37c1_9e2d),
+];
+
+/// Batched predictions at every worker count, and single-row
+/// predictions, reproduce the golden fingerprint bit for bit.
 #[test]
-fn flat_and_nested_predictions_are_bit_identical_at_every_worker_count() {
+fn forest_predictions_match_golden_at_every_worker_count() {
     let (train, forest, _, _) = forest_world();
-    assert_eq!(forest.layout(), ForestLayout::Flat);
-    let nested = forest.clone().with_layout(ForestLayout::Nested);
     let instances: Vec<Vec<shahin_tabular::Feature>> = (0..train.n_rows().min(200))
         .map(|r| train.instance(r))
         .collect();
+    let singles: Vec<f64> = instances.iter().map(|i| forest.predict_proba(i)).collect();
+    assert_eq!(
+        predictions_fingerprint(&singles),
+        GOLDEN_FOREST,
+        "single rows"
+    );
     for workers in [1usize, 2, 8] {
-        let flat_out = forest.predict_batch_with(&instances, workers);
-        let nested_out = nested.predict_batch_with(&instances, workers);
-        assert_eq!(flat_out, nested_out, "workers {workers}");
-    }
-    for inst in &instances {
-        assert_eq!(forest.predict_proba(inst), nested.predict_proba(inst));
-    }
-}
-
-fn assert_same_explanations(a: &[Explanation], b: &[Explanation], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: tuple count");
-    for (x, y) in a.iter().zip(b) {
-        match (x, y) {
-            (Explanation::Weights(w1), Explanation::Weights(w2)) => {
-                assert_eq!(w1, w2, "{what}: weights differ")
-            }
-            (Explanation::Rule(r1), Explanation::Rule(r2)) => {
-                assert_eq!(r1, r2, "{what}: rules differ")
-            }
-            _ => panic!("{what}: mismatched explanation kinds"),
-        }
+        let batch = forest.predict_batch_with(&instances, workers);
+        assert_eq!(
+            predictions_fingerprint(&batch),
+            GOLDEN_FOREST,
+            "workers {workers}"
+        );
     }
 }
 
-/// The tentpole guarantee, end-to-end: swapping both hot-path layouts at
-/// once (bitset+flat vs postings+nested) changes nothing observable — the
-/// LIME and SHAP drivers return bit-identical explanations and invocation
-/// counts at 1, 2 and 8 threads.
+/// The end-to-end guarantee: the LIME and SHAP drivers at 1, 2 and 8
+/// threads, and Anchor at 1 thread, return the golden explanations and
+/// invocation counts.
 #[test]
-fn drivers_are_bit_identical_across_layouts_and_threads() {
+fn drivers_match_golden_fingerprints() {
     let (_, forest, ctx, batch) = forest_world();
-    let flat_clf = CountingClassifier::new(forest.clone());
-    let nested_clf = CountingClassifier::new(forest.with_layout(ForestLayout::Nested));
-    let kinds = [
-        ExplainerKind::Lime(LimeExplainer::new(LimeParams {
-            n_samples: 120,
+    let clf = CountingClassifier::new(forest);
+    let lime = ExplainerKind::Lime(LimeExplainer::new(LimeParams {
+        n_samples: 120,
+        ..Default::default()
+    }));
+    let shap = ExplainerKind::Shap(KernelShapExplainer::new(ShapParams {
+        n_samples: 64,
+        ..Default::default()
+    }));
+    let anchor = ExplainerKind::Anchor(AnchorExplainer::default());
+    let mut failures = Vec::new();
+    for &(name, threads, invocations, fingerprint) in &GOLDEN_DRIVERS {
+        let kind = [&lime, &shap, &anchor]
+            .into_iter()
+            .find(|k| k.name() == name)
+            .expect("golden explainer name");
+        let config = BatchConfig {
+            n_threads: Some(threads),
             ..Default::default()
-        })),
-        ExplainerKind::Shap(KernelShapExplainer::new(ShapParams {
-            n_samples: 64,
-            ..Default::default()
-        })),
-    ];
-    for kind in &kinds {
-        for threads in [1usize, 2, 8] {
-            let config = |engine| BatchConfig {
-                n_threads: Some(threads),
-                match_engine: engine,
-                ..Default::default()
-            };
-            let method = |engine| {
-                if threads == 1 {
-                    Method::Batch(config(engine))
-                } else {
-                    Method::BatchParallel(config(engine))
-                }
-            };
-            flat_clf.reset();
-            let new_run = run(
-                &method(MatchEngine::Bitset),
-                kind,
-                &ctx,
-                &flat_clf,
-                &batch,
-                23,
-            );
-            let new_inv = flat_clf.invocations();
-            nested_clf.reset();
-            let old_run = run(
-                &method(MatchEngine::Postings),
-                kind,
-                &ctx,
-                &nested_clf,
-                &batch,
-                23,
-            );
-            let old_inv = nested_clf.invocations();
-            let what = format!("{} x{threads}", kind.name());
-            assert_eq!(new_inv, old_inv, "{what}: invocation counts differ");
-            assert_same_explanations(&new_run.explanations, &old_run.explanations, &what);
+        };
+        let method = if threads == 1 {
+            Method::Batch(config)
+        } else {
+            Method::BatchParallel(config)
+        };
+        clf.reset();
+        let report = run(&method, kind, &ctx, &clf, &batch, 23);
+        let got = (
+            clf.invocations(),
+            explanation_fingerprint(&report.explanations),
+        );
+        if got != (invocations, fingerprint) {
+            failures.push(format!("{name} x{threads}: got {got:?}"));
         }
     }
+    assert!(failures.is_empty(), "golden drift: {failures:#?}");
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use shahin_fim::{apriori, fpgrowth, AprioriParams, Item, Itemset, ItemsetIndex};
+use shahin_fim::{apriori, fpgrowth, AprioriParams, BitsetDomain, Item, Itemset};
 use shahin_linalg::{constrained_wls, kendall_tau, ridge, Matrix};
 use shahin_tabular::DiscreteTable;
 
@@ -78,18 +78,19 @@ proptest! {
 
     #[test]
     fn itemset_index_matches_brute_force(table in table_strategy()) {
-        // Index the frequent itemsets of the table and verify containment
-        // queries against the naive definition, for every row.
+        // Index the frequent itemsets of the table in the bitset matcher
+        // and verify containment queries against the naive definition,
+        // for every row.
         let res = apriori(&table, &AprioriParams {
             min_support: 0.2,
             max_len: 3,
             max_itemsets: usize::MAX,
         });
         let sets: Vec<Itemset> = res.frequent.into_iter().map(|(s, _)| s).collect();
-        let index = ItemsetIndex::new(&sets);
+        let domain = BitsetDomain::new(&sets);
         for r in 0..table.n_rows() {
             let row = table.row(r);
-            let got = index.contained_in(&row);
+            let got = domain.contained_in(&row);
             let brute: Vec<u32> = sets.iter().enumerate()
                 .filter(|(_, s)| s.contained_in(&row))
                 .map(|(i, _)| i as u32)
