@@ -379,7 +379,12 @@ fn compare_trace(gate: &mut Gate, base: &Json, fresh: &Json) -> Result<(), Strin
 fn compare_persist(gate: &mut Gate, base: &Json, fresh: &Json) -> Result<(), String> {
     let tol_wall = env_f64("SHAHIN_CMP_TOL_WALL_PCT", 75.0);
     let min_speedup = env_f64("SHAHIN_CMP_MIN_RESTART_SPEEDUP", 2.0);
-    check_same_workload(gate, base, fresh, &["dataset", "requests", "warm_rows", "seed"])?;
+    check_same_workload(
+        gate,
+        base,
+        fresh,
+        &["dataset", "requests", "warm_rows", "seed"],
+    )?;
 
     // The headline claim, inside the fresh run itself: hydrating from a
     // snapshot restarts warm — no classifier calls, same explanations,
@@ -469,11 +474,16 @@ fn compare_tenancy(gate: &mut Gate, base: &Json, fresh: &Json) -> Result<(), Str
     let cold_starts = num(fresh, &["cold_starts"], "fresh")?;
     gate.check(
         cold_starts >= 2.0 * tenants,
-        format!("{cold_starts} cold starts cover first touch and re-admission of {tenants} tenants"),
+        format!(
+            "{cold_starts} cold starts cover first touch and re-admission of {tenants} tenants"
+        ),
     );
     for key in ["evictions", "hydrations"] {
         let v = num(fresh, &[key], "fresh")?;
-        gate.check(v >= tenants, format!("{key} {v} cover all {tenants} tenants"));
+        gate.check(
+            v >= tenants,
+            format!("{key} {v} cover all {tenants} tenants"),
+        );
     }
     let cold_ms = num(fresh, &["cold_start_ms"], "fresh")?;
     let keepalive_ms = num(fresh, &["keepalive", "mean_ms"], "fresh")?;

@@ -871,10 +871,9 @@ fn main() {
     let tenancy_out =
         std::env::var("SHAHIN_TENANCY_OUT").unwrap_or_else(|_| "BENCH_tenancy.json".into());
     let n_tenants = (env_u64("SHAHIN_TENANCY_TENANTS", 3) as usize).max(2);
-    let tenancy_requests = (env_u64("SHAHIN_TENANCY_REQUESTS", requests as u64) as usize
-        / concurrency)
-        .max(1)
-        * concurrency;
+    let tenancy_requests =
+        (env_u64("SHAHIN_TENANCY_REQUESTS", requests as u64) as usize / concurrency).max(1)
+            * concurrency;
     let tenancy_warm_rows = env_u64("SHAHIN_TENANCY_WARM_ROWS", 48) as usize;
     let idle_ms = env_u64("SHAHIN_TENANCY_IDLE_MS", 3000);
     // Rows fingerprinted per tenant before eviction and after hydrated
@@ -885,14 +884,16 @@ fn main() {
          {idle_ms} ms keepalive"
     );
 
-    let snap_dir = std::env::temp_dir().join(format!("shahin_bench_tenancy_{}", std::process::id()));
+    let snap_dir =
+        std::env::temp_dir().join(format!("shahin_bench_tenancy_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&snap_dir);
     std::fs::create_dir_all(&snap_dir).expect("tenancy snapshot scratch dir");
 
     // Zipf(1) over tenant ranks, deterministic in (seed, i): tenant t
     // draws traffic proportional to 1/(t+1).
     let zipf_tenant = |i: usize| -> usize {
-        let mut z = (seed ^ 0x7E4A_2026).wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut z =
+            (seed ^ 0x7E4A_2026).wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
@@ -1006,14 +1007,12 @@ fn main() {
             eat(w.as_f64().unwrap().to_bits());
         }
         eat(frame.get("intercept").unwrap().as_f64().unwrap().to_bits());
-        eat(
-            frame
-                .get("local_prediction")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                .to_bits(),
-        );
+        eat(frame
+            .get("local_prediction")
+            .unwrap()
+            .as_f64()
+            .unwrap()
+            .to_bits());
     }
 
     let connect = |addr: &str| -> BufReader<TcpStream> {

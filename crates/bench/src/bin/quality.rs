@@ -4,7 +4,10 @@
 //! The paper's findings to check: identical feature rankings for all three
 //! explainers (average Kendall-τ ≈ 1); Anchor and SHAP explanations
 //! essentially identical; LIME's maximum weight deviation small (≤ 0.1,
-//! comparable to the seed-to-seed variation of LIME itself).
+//! comparable to the seed-to-seed variation of LIME itself). Every
+//! explainer gets a "self (reseeded)" row — the sequential baseline
+//! against itself under another seed — as the yardstick for its Shahin
+//! rows.
 
 use shahin::runner::{attribution_fidelity, rule_agreement};
 use shahin::{run, top_k_overlap, ExplainerKind, Method};
@@ -117,10 +120,22 @@ fn main() {
         }
     }
 
-    // Anchor: rule agreement + precision/coverage deltas.
+    // Anchor: rule agreement + precision/coverage deltas, with the same
+    // reseeded-baseline yardstick as LIME/SHAP.
     let kind = ExplainerKind::Anchor(bench_anchor());
     let seq = run(&Method::Sequential, &kind, &w.ctx, &w.clf, &batch, seed);
     for (variant, r) in [
+        (
+            "self (reseeded)",
+            run(
+                &Method::Sequential,
+                &kind,
+                &w.ctx,
+                &w.clf,
+                &batch,
+                seed ^ 0x1234,
+            ),
+        ),
         (
             "Shahin-Batch",
             run(

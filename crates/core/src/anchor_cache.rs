@@ -200,7 +200,10 @@ impl SharedAnchorCaches {
                 return Err(corrupt("positive count exceeds sample count"));
             }
             let idx = SharedAnchorCaches::shard_index(&rule);
-            caches.shards[idx].lock().precision.insert(rule.clone(), (n, pos));
+            caches.shards[idx]
+                .lock()
+                .precision
+                .insert(rule.clone(), (n, pos));
             prev = Some(rule);
         }
         prev = None;

@@ -16,12 +16,12 @@ use shahin_explain::{
     AnchorExplainer, AnchorExplanation, ExplainContext, FeatureWeights, KernelShapExplainer,
     LimeExplainer,
 };
-use shahin_fim::{apriori, fpgrowth, sample_rows, AprioriParams, Itemset, MatchScratch};
+use shahin_fim::{apriori, sample_rows, AprioriParams, Itemset, MatchScratch};
 use shahin_model::{Classifier, CountingClassifier};
 use shahin_tabular::{Dataset, DiscreteTable};
 
 use crate::anchor_cache::{CachingRuleSampler, SharedAnchorCaches};
-use crate::config::{BatchConfig, Miner};
+use crate::config::BatchConfig;
 use crate::metrics::{BatchReport, BatchResult, OverheadBreakdown, RunMetrics};
 use crate::obs::{names, ProvenanceCtx};
 use crate::quarantine::{guard_tuple, QuarantineObs, TupleOutcome};
@@ -93,10 +93,7 @@ impl ShahinBatch {
             max_len: self.config.max_itemset_len,
             max_itemsets: self.config.max_itemsets,
         };
-        let frequent = match self.config.miner {
-            Miner::Apriori => apriori(&sample, &fim_params).frequent,
-            Miner::FpGrowth => fpgrowth(&sample, &fim_params),
-        };
+        let frequent = apriori(&sample, &fim_params).frequent;
         // Expected number of materialized itemsets a random batch tuple
         // contains = Σ_f support(f); a tuple pools ~τ·E[matched] samples.
         let n_sample_rows = sample.n_rows() as f64;

@@ -1,18 +1,5 @@
 //! Configuration for the batch and streaming optimizers.
 
-/// Which frequent itemset mining algorithm the batch optimizer uses.
-/// Both produce identical itemsets; FP-Growth avoids candidate generation
-/// and is faster on dense batches (the "smarter frequent itemset
-/// computation" the paper alludes to in §4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Miner {
-    /// Level-wise Apriori (also yields the negative border).
-    #[default]
-    Apriori,
-    /// FP-tree based FP-Growth.
-    FpGrowth,
-}
-
 /// Configuration of [`crate::ShahinBatch`].
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
@@ -35,8 +22,6 @@ pub struct BatchConfig {
     /// automatically by Shahin based on the resource constraints", §3.1).
     /// Disable to study a fixed τ (Figure 6).
     pub auto_tau: bool,
-    /// Mining algorithm.
-    pub miner: Miner,
     /// Worker threads for the parallel phases (materialization in
     /// `prepare`, and the per-tuple fan-out of the `explain_*_parallel`
     /// drivers). `None` (the default) uses
@@ -67,7 +52,6 @@ impl Default for BatchConfig {
             tau: 100,
             cache_budget_bytes: usize::MAX,
             auto_tau: true,
-            miner: Miner::default(),
             n_threads: None,
         }
     }

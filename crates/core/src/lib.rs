@@ -71,15 +71,15 @@ pub mod warm;
 pub use anchor_cache::{CachingRuleSampler, SamplerStats, SharedAnchorCaches};
 pub use baseline::{dist_k, Greedy};
 pub use batch::ShahinBatch;
-pub use config::{BatchConfig, Miner, StreamingConfig};
+pub use config::{BatchConfig, StreamingConfig};
 pub use greedy_cache::TaggedLruCache;
 pub use metrics::{
     BatchReport, BatchResult, FailureKind, OverheadBreakdown, RunMetrics, TupleFailure,
 };
 pub use obs::{
-    fold_provenance, register_standard, trace_sampled, EventSink, MetricsRegistry,
-    MetricsSnapshot, ProvenanceRecord, ProvenanceSink, RequestTrace, StageSpan, TraceContext,
-    TraceCounters, TraceSink, TraceSpan, TraceStore, TraceStoreConfig,
+    fold_provenance, register_standard, trace_sampled, EventSink, MetricsRegistry, MetricsSnapshot,
+    ProvenanceRecord, ProvenanceSink, RequestTrace, StageSpan, TraceContext, TraceCounters,
+    TraceSink, TraceSpan, TraceStore, TraceStoreConfig,
 };
 pub use parallel::chunks;
 pub use runner::{

@@ -19,7 +19,7 @@
 //! Everything is little-endian; payloads are raw contiguous vector dumps
 //! (a length prefix, then elements) in the style of the typed-vector
 //! `load_from`/`write_to` io of route-planning engines. Sections appear
-//! in a fixed order: [`TAG_META`], [`TAG_STORE`], [`TAG_CACHES`].
+//! in a fixed order: `TAG_META`, `TAG_STORE`, `TAG_CACHES`.
 //!
 //! **Validation order on load**: magic → format version → config
 //! fingerprint → per-section framing (a length running past the buffer is
@@ -30,7 +30,7 @@
 //! snapshot must never panic, and never serve.
 //!
 //! Writes never go through this module directly: callers serialize with
-//! [`SnapshotWriter`] and persist via `shahin_obs::write_atomic`
+//! `SnapshotWriter` and persist via `shahin_obs::write_atomic`
 //! (temp file + fsync + rename), so a crash mid-snapshot leaves the last
 //! good file untouched.
 //!
@@ -122,7 +122,10 @@ impl fmt::Display for SnapshotError {
             SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a Shahin snapshot (bad magic)"),
             SnapshotError::WrongVersion { found, expected } => {
-                write!(f, "snapshot format version {found} (this binary reads {expected})")
+                write!(
+                    f,
+                    "snapshot format version {found} (this binary reads {expected})"
+                )
             }
             SnapshotError::FingerprintMismatch { found, expected } => write!(
                 f,
@@ -175,7 +178,11 @@ const fn crc_table() -> [u32; 256] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -374,7 +381,8 @@ impl SnapshotWriter {
     /// Appends one `[tag][len][crc][payload]` section.
     pub(crate) fn section(&mut self, tag: u32, payload: &[u8]) {
         self.buf.extend_from_slice(&tag.to_le_bytes());
-        self.buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        self.buf
+            .extend_from_slice(&(payload.len() as u64).to_le_bytes());
         self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
         self.buf.extend_from_slice(payload);
     }
@@ -447,10 +455,12 @@ impl<'a> SnapshotReader<'a> {
                 context: "unexpected section tag",
             });
         }
-        let len =
-            u64::from_le_bytes(self.bytes[self.pos + 4..self.pos + 12].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(self.bytes[self.pos + 4..self.pos + 12].try_into().unwrap())
+            as usize;
         let crc = u32::from_le_bytes(self.bytes[self.pos + 12..header_end].try_into().unwrap());
-        let end = header_end.checked_add(len).filter(|&e| e <= self.bytes.len());
+        let end = header_end
+            .checked_add(len)
+            .filter(|&e| e <= self.bytes.len());
         let Some(end) = end else {
             return Err(SnapshotError::Truncated { context: name });
         };
@@ -557,7 +567,10 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]

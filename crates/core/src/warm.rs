@@ -45,7 +45,7 @@ use shahin_tabular::{Dataset, DiscreteTable};
 
 use crate::anchor_cache::{CachingRuleSampler, SharedAnchorCaches};
 use crate::batch::{estimate_base_value_guarded, ShahinBatch};
-use crate::config::{BatchConfig, Miner};
+use crate::config::BatchConfig;
 use crate::metrics::TupleFailure;
 use crate::obs::{
     names, register_standard, MetricsRegistry, ProvenanceCtx, StageSpan, TraceCounters, TraceSink,
@@ -157,12 +157,10 @@ fn snapshot_fingerprint(
         config.tau as u64,
         config.cache_budget_bytes as u64,
         u64::from(config.auto_tau),
-        match config.miner {
-            Miner::Apriori => 0,
-            Miner::FpGrowth => 1,
-        },
-        // Once the containment-engine selector; kept as a constant so
-        // snapshots written before its removal still hydrate.
+        // Once the miner and containment-engine selectors; kept as
+        // constants (Apriori's old value, then the engine slot) so
+        // snapshots written before their removal still hydrate.
+        0,
         0,
         seed,
         warm.n_rows() as u64,
@@ -515,8 +513,15 @@ impl<C: Classifier> WarmEngine<C> {
         let rejection = match bytes {
             None => None,
             Some(bytes) => {
-                match load_snapshot_parts(&config, &explainer, ctx.n_attrs(), &warm, seed, reg, bytes)
-                {
+                match load_snapshot_parts(
+                    &config,
+                    &explainer,
+                    ctx.n_attrs(),
+                    &warm,
+                    seed,
+                    reg,
+                    bytes,
+                ) {
                     Ok(parts) => {
                         reg.counter(names::PERSIST_LOADS_OK).inc();
                         let eng = Self::assemble_hydrated(
@@ -1323,7 +1328,9 @@ mod tests {
         }
         // A different prime seed is a different config fingerprint: valid
         // bytes, wrong state — rejected before any payload is read.
-        let err = hydrate(&bytes, 12).err().expect("seed skew must be rejected");
+        let err = hydrate(&bytes, 12)
+            .err()
+            .expect("seed skew must be rejected");
         assert_eq!(err.kind(), "fingerprint_mismatch");
         // And the undamaged snapshot still hydrates.
         assert!(hydrate(&bytes, 11).is_ok());

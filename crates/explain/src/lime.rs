@@ -169,88 +169,6 @@ impl LimeExplainer {
             stats,
         )
     }
-
-    /// Approximate LIME with adaptive early stopping (the paper's §6
-    /// suggestion: "one could achieve substantial speedup by allowing
-    /// certain approximation in the explanations generated").
-    ///
-    /// Samples in rounds of `check_every`; after each round the surrogate
-    /// is refit, and sampling stops once the maximum coefficient change
-    /// since the previous round drops below `tolerance` (or the `N` budget
-    /// is exhausted). Returns the explanation and the number of samples
-    /// actually used — the saved classifier invocations are
-    /// `N − n_used`.
-    pub fn explain_adaptive(
-        &self,
-        ctx: &ExplainContext,
-        clf: &impl Classifier,
-        instance: &[Feature],
-        check_every: usize,
-        tolerance: f64,
-        rng: &mut impl Rng,
-    ) -> (FeatureWeights, usize) {
-        let m = ctx.n_attrs();
-        assert_eq!(instance.len(), m, "instance arity mismatch");
-        assert!(check_every >= 2, "check_every must be at least 2");
-        assert!(tolerance > 0.0, "tolerance must be positive");
-        let inst_codes = ctx.discretizer().encode_instance(instance);
-        let width = self
-            .params
-            .kernel_width
-            .unwrap_or_else(|| default_kernel_width(m));
-        let empty = Itemset::new(vec![]);
-
-        let fx = clf.predict_proba(instance);
-        let mut z_rows: Vec<Vec<f64>> = vec![vec![1.0; m]];
-        let mut y = vec![fx];
-        let mut w = vec![1.0];
-        let mut prev: Option<Vec<f64>> = None;
-        let mut fit = None;
-
-        while y.len() < self.params.n_samples {
-            for _ in 0..check_every.min(self.params.n_samples - y.len()) {
-                let s = labeled_perturbation(ctx, clf, &empty, rng);
-                let mut zeros = 0usize;
-                let mut zrow = vec![0.0; m];
-                for j in 0..m {
-                    if s.codes[j] == inst_codes[j] {
-                        zrow[j] = 1.0;
-                    } else {
-                        zeros += 1;
-                    }
-                }
-                z_rows.push(zrow);
-                y.push(s.proba);
-                w.push(exponential_kernel((zeros as f64).sqrt(), width));
-            }
-            let z = Matrix::from_rows(z_rows.len(), m, z_rows.iter().flatten().copied().collect());
-            let f = ridge(&z, &y, &w, self.params.alpha);
-            let converged = prev.as_ref().is_some_and(|p| {
-                f.coefficients
-                    .iter()
-                    .zip(p)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max)
-                    < tolerance
-            });
-            prev = Some(f.coefficients.clone());
-            fit = Some(f);
-            if converged {
-                break;
-            }
-        }
-        let fit = fit.expect("at least one round ran");
-        let n_used = y.len();
-        let local_prediction = fit.predict(&vec![1.0; m]);
-        (
-            FeatureWeights {
-                weights: fit.coefficients,
-                intercept: fit.intercept,
-                local_prediction,
-            },
-            n_used,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -404,48 +322,6 @@ mod tests {
         let e1 = lime.explain(&ctx, &clf, &data.instance(5), &mut StdRng::seed_from_u64(9));
         let e2 = lime.explain(&ctx, &clf, &data.instance(5), &mut StdRng::seed_from_u64(9));
         assert_eq!(e1, e2);
-    }
-
-    #[test]
-    fn adaptive_lime_stops_early_on_easy_classifiers() {
-        let (ctx, data) = small_ctx();
-        // Constant classifier: coefficients converge immediately.
-        let clf = CountingClassifier::new(MajorityClass::fit(&[1, 0]));
-        let lime = LimeExplainer::new(LimeParams {
-            n_samples: 2000,
-            ..Default::default()
-        });
-        let mut rng = StdRng::seed_from_u64(21);
-        let (e, n_used) = lime.explain_adaptive(&ctx, &clf, &data.instance(0), 50, 0.01, &mut rng);
-        assert!(n_used < 2000, "no early stop: used {n_used}");
-        assert_eq!(clf.invocations(), n_used as u64);
-        assert!(e.weights.iter().all(|v| v.abs() < 0.05), "{:?}", e.weights);
-    }
-
-    #[test]
-    fn adaptive_lime_agrees_with_full_lime_ranking() {
-        let schema = Arc::new(Schema::new(vec![
-            Attribute::categorical("a", 3),
-            Attribute::categorical("b", 3),
-            Attribute::categorical("c", 2),
-        ]));
-        let mut rng = StdRng::seed_from_u64(22);
-        let n = 600;
-        let cols = vec![
-            Column::Cat((0..n).map(|_| rng.gen_range(0..3)).collect()),
-            Column::Cat((0..n).map(|_| rng.gen_range(0..3)).collect()),
-            Column::Cat((0..n).map(|_| rng.gen_range(0..2)).collect()),
-        ];
-        let data = Dataset::new(schema, cols);
-        let ctx = ExplainContext::fit(&data, 200, &mut rng);
-        let clf = KeyAttr { attr: 2, code: 1 };
-        let lime = LimeExplainer::new(LimeParams {
-            n_samples: 1500,
-            ..Default::default()
-        });
-        let instance = vec![Feature::Cat(0), Feature::Cat(1), Feature::Cat(1)];
-        let (e, n_used) = lime.explain_adaptive(&ctx, &clf, &instance, 100, 0.02, &mut rng);
-        assert_eq!(e.ranking()[0], 2, "weights {:?} (used {n_used})", e.weights);
     }
 
     #[test]

@@ -23,12 +23,10 @@
 
 pub mod apriori;
 pub mod bitset;
-pub mod fpgrowth;
 pub mod item;
 pub mod sample;
 
 pub use apriori::{apriori, AprioriParams, AprioriResult};
 pub use bitset::{BitsetDomain, MatchScratch};
-pub use fpgrowth::fpgrowth;
 pub use item::{Item, Itemset};
 pub use sample::{sample_rows, shahin_sample_size};

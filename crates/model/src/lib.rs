@@ -12,8 +12,6 @@
 //!   and categorical one-vs-rest splits,
 //! * [`RandomForest`] — bagged trees with per-split feature subsampling
 //!   (the paper's model, §4.1),
-//! * [`LogisticRegression`] — a secondary black box over one-hot encoded
-//!   features,
 //! * [`MajorityClass`] — the trivial baseline.
 //!
 //! Instrumentation:
@@ -39,9 +37,7 @@ pub mod chaos;
 pub mod classifier;
 pub mod error;
 pub mod forest;
-pub mod gbm;
 pub mod instrument;
-pub mod logistic;
 pub mod metrics;
 pub mod resilient;
 pub mod tree;
@@ -50,11 +46,9 @@ pub use chaos::{ChaosClassifier, ChaosConfig, ChaosSnapshot};
 pub use classifier::{Classifier, MajorityClass};
 pub use error::PredictError;
 pub use forest::{ForestParams, RandomForest};
-pub use gbm::{GbmParams, GradientBoosting};
 pub use instrument::{
     CountingClassifier, InvocationSnapshot, LatencyCost, SimulatedCost, TracedClassifier,
 };
-pub use logistic::LogisticRegression;
 pub use metrics::{accuracy, confusion_matrix};
 pub use resilient::{
     degraded_incidents, payload_message, FallibleClassifier, ResilienceSnapshot,

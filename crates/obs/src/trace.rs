@@ -179,7 +179,12 @@ impl RequestTrace {
                 Some(p) => write!(out, "{p}").unwrap(),
                 None => out.push_str("null"),
             }
-            write!(out, ", \"start_ns\": {}, \"dur_ns\": {}}}", s.start_ns, s.dur_ns).unwrap();
+            write!(
+                out,
+                ", \"start_ns\": {}, \"dur_ns\": {}}}",
+                s.start_ns, s.dur_ns
+            )
+            .unwrap();
         }
         out.push_str("]}");
         out
@@ -294,7 +299,10 @@ impl TraceSink {
     /// order per worker (stages of one request are recorded by one
     /// worker, so this is chronological).
     pub fn take(&self, trace_id: u64) -> Vec<StageSpan> {
-        self.stripe(trace_id).lock().remove(&trace_id).unwrap_or_default()
+        self.stripe(trace_id)
+            .lock()
+            .remove(&trace_id)
+            .unwrap_or_default()
     }
 
     /// Stage spans dropped by the per-stripe id bound.
@@ -466,7 +474,11 @@ impl TraceStore {
     /// The `n` slowest retained traces, slowest first.
     pub fn slowest(&self, n: usize) -> Vec<Arc<RequestTrace>> {
         let mut all = self.all();
-        all.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.trace_id.cmp(&b.trace_id)));
+        all.sort_by(|a, b| {
+            b.total_ns
+                .cmp(&a.total_ns)
+                .then(a.trace_id.cmp(&b.trace_id))
+        });
         all.truncate(n);
         all
     }

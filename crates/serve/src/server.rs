@@ -26,7 +26,7 @@
 //! tenant's consistent-hash shard map.
 //!
 //! Readers never touch the engine; the batcher never touches sockets
-//! except through each request's [`Conn`] handle (a mutex-wrapped writer
+//! except through each request's `Conn` handle (a mutex-wrapped writer
 //! shared with the reader, so pong/error frames and served explanations
 //! interleave without tearing). Shutdown — admin frame, watched signal,
 //! or [`ServerHandle::shutdown`] — closes the queue; the batcher drains

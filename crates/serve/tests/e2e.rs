@@ -592,7 +592,10 @@ fn slow_request_trace_round_trips_with_nested_spans() {
 
     let mut client = connect(&handle);
     let t = Instant::now();
-    let frame = round_trip(&mut client, "{\"id\": 1, \"method\": \"explain\", \"row\": 0}");
+    let frame = round_trip(
+        &mut client,
+        "{\"id\": 1, \"method\": \"explain\", \"row\": 0}",
+    );
     let wall_ns = t.elapsed().as_nanos() as u64;
     assert_eq!(frame.get("ok").unwrap().as_bool(), Some(true));
     let trace_id = frame
@@ -615,8 +618,13 @@ fn slow_request_trace_round_trips_with_nested_spans() {
 
     let spans = check_span_tree(trace);
     let names: Vec<&str> = spans.iter().map(|(n, ..)| n.as_str()).collect();
-    for stage in ["request", "queue", "batch", "retrieve", "classify", "explain"] {
-        assert!(names.contains(&stage), "span tree lacks '{stage}': {names:?}");
+    for stage in [
+        "request", "queue", "batch", "retrieve", "classify", "explain",
+    ] {
+        assert!(
+            names.contains(&stage),
+            "span tree lacks '{stage}': {names:?}"
+        );
     }
 
     // The slow rule fired, the trace's wall time brackets within the
@@ -626,7 +634,10 @@ fn slow_request_trace_round_trips_with_nested_spans() {
         total_ns >= 50_000_000,
         "chaos latency must push the request past trace_slow, got {total_ns}ns"
     );
-    assert!(total_ns <= wall_ns, "trace total {total_ns}ns exceeds the measured {wall_ns}ns");
+    assert!(
+        total_ns <= wall_ns,
+        "trace total {total_ns}ns exceeds the measured {wall_ns}ns"
+    );
     let stage_sum: u64 = spans
         .iter()
         .filter(|(_, parent, ..)| *parent == Some(2))
@@ -640,7 +651,10 @@ fn slow_request_trace_round_trips_with_nested_spans() {
         .at(&["counters", "samples_fresh"])
         .and_then(Json::as_u64)
         .unwrap();
-    assert!(fresh > 0, "the slow request must have generated fresh samples");
+    assert!(
+        fresh > 0,
+        "the slow request must have generated fresh samples"
+    );
 
     // The same trace renders as a single-request Chrome-trace document.
     let chrome = round_trip(
@@ -780,7 +794,10 @@ fn tail_sampling_retains_every_quarantined_trace_and_samples_the_rest() {
     for (i, &id) in succeeded.iter().enumerate() {
         let frame = round_trip(
             &mut client,
-            &format!("{{\"id\": {}, \"method\": \"trace\", \"trace_id\": {id}}}", 9001 + i),
+            &format!(
+                "{{\"id\": {}, \"method\": \"trace\", \"trace_id\": {id}}}",
+                9001 + i
+            ),
         );
         let ok = frame.get("ok").unwrap().as_bool() == Some(true);
         if shahin::trace_sampled(id, SAMPLE) {
@@ -808,7 +825,9 @@ fn tail_sampling_retains_every_quarantined_trace_and_samples_the_rest() {
 
     // Store totals agree: something was dropped, nothing exceeded the
     // configured bound.
-    let store = errors.get("store").expect("multi-trace frames carry totals");
+    let store = errors
+        .get("store")
+        .expect("multi-trace frames carry totals");
     assert!(store.get("dropped").unwrap().as_u64().unwrap() > 0);
     assert!(store.get("len").unwrap().as_u64().unwrap() <= 256);
 
@@ -819,7 +838,10 @@ fn tail_sampling_retains_every_quarantined_trace_and_samples_the_rest() {
         snap.counter(names::SERVE_QUARANTINED),
         quarantined.len() as u64
     );
-    assert!(snap.gauge(names::TRACE_DROPPED) > 0, "monitor publishes drop totals");
+    assert!(
+        snap.gauge(names::TRACE_DROPPED) > 0,
+        "monitor publishes drop totals"
+    );
 }
 
 #[test]
@@ -885,10 +907,7 @@ fn snapshot_frame_persists_warm_state_and_a_restart_serves_it_bit_identically() 
 
     let ack = round_trip(&mut client, "{\"id\": 90, \"method\": \"snapshot\"}");
     assert_eq!(ack.get("ok").unwrap().as_bool(), Some(true));
-    assert_eq!(
-        ack.get("snapshot_requested").unwrap().as_bool(),
-        Some(true)
-    );
+    assert_eq!(ack.get("snapshot_requested").unwrap().as_bool(), Some(true));
     // The monitor writes within one poll tick; wait for it.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !snap_path.exists() {

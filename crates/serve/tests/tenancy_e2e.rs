@@ -181,7 +181,10 @@ fn requests_route_by_tenant_and_unknown_tenants_get_404() {
     let mut client = connect(&handle);
 
     // Absent tenant → the default tenant (acme, index 0).
-    let default_frame = round_trip(&mut client, "{\"id\": 1, \"method\": \"explain\", \"row\": 0}");
+    let default_frame = round_trip(
+        &mut client,
+        "{\"id\": 1, \"method\": \"explain\", \"row\": 0}",
+    );
     let default_weights = weights_of(&default_frame);
 
     // Explicit default tenant → the same engine, bit-identical.
@@ -210,7 +213,10 @@ fn requests_route_by_tenant_and_unknown_tenants_get_404() {
     );
     assert_eq!(missing.get("ok").unwrap().as_bool(), Some(false));
     assert_eq!(missing.get("code").unwrap().as_u64(), Some(404));
-    assert_eq!(missing.get("error").unwrap().as_str(), Some("unknown_tenant"));
+    assert_eq!(
+        missing.get("error").unwrap().as_str(),
+        Some("unknown_tenant")
+    );
     assert_eq!(missing.get("tenant").unwrap().as_str(), Some("hooli"));
     assert_eq!(missing.get("id").unwrap().as_u64(), Some(4));
 
@@ -258,15 +264,27 @@ fn tenants_materialize_lazily_and_ping_reports_lifecycle() {
     let row = tenant_row(&frame, "globex");
     assert_eq!(row.get("state").unwrap().as_str(), Some("warm"));
     assert!(row.get("entries").unwrap().as_u64().unwrap() > 0);
-    assert_eq!(tenant_row(&frame, "acme").get("state").unwrap().as_str(), Some("cold"));
-    assert_eq!(tenant_row(&frame, "initech").get("state").unwrap().as_str(), Some("cold"));
+    assert_eq!(
+        tenant_row(&frame, "acme").get("state").unwrap().as_str(),
+        Some("cold")
+    );
+    assert_eq!(
+        tenant_row(&frame, "initech").get("state").unwrap().as_str(),
+        Some("cold")
+    );
 
     handle.shutdown();
     handle.wait();
     let snap = obs.snapshot();
     assert_eq!(snap.counter(names::TENANCY_COLD_STARTS), 1);
-    assert_eq!(snap.counter(&names::tenant_metric("globex", "cold_starts")), 1);
-    assert_eq!(snap.counter(&names::tenant_metric("acme", "cold_starts")), 0);
+    assert_eq!(
+        snap.counter(&names::tenant_metric("globex", "cold_starts")),
+        1
+    );
+    assert_eq!(
+        snap.counter(&names::tenant_metric("acme", "cold_starts")),
+        0
+    );
     assert!(
         snap.histograms
             .get(names::TENANCY_COLD_START_LATENCY)
@@ -293,7 +311,10 @@ fn quota_exhausted_tenants_answer_429_naming_the_tenant() {
     );
     assert_eq!(frame.get("ok").unwrap().as_bool(), Some(false));
     assert_eq!(frame.get("code").unwrap().as_u64(), Some(429));
-    assert_eq!(frame.get("error").unwrap().as_str(), Some("tenant_over_quota"));
+    assert_eq!(
+        frame.get("error").unwrap().as_str(),
+        Some("tenant_over_quota")
+    );
     assert_eq!(frame.get("tenant").unwrap().as_str(), Some("initech"));
 
     // A quota rejection happens at admission, before the batcher could
@@ -315,7 +336,10 @@ fn quota_exhausted_tenants_answer_429_naming_the_tenant() {
         snap.counter(&names::tenant_metric("initech", "quota_rejections")),
         1
     );
-    assert_eq!(snap.counter(&names::tenant_metric("initech", "cold_starts")), 0);
+    assert_eq!(
+        snap.counter(&names::tenant_metric("initech", "cold_starts")),
+        0
+    );
 }
 
 #[test]
@@ -332,7 +356,13 @@ fn idle_eviction_then_hydrated_readmission_is_bit_identical_at_1_and_4_workers()
         let snap = dir.join(format!("acme_{n_workers}.shws"));
         let (handle, obs) = start_cluster(
             vec![
-                tenant_config("acme", DatasetPreset::Recidivism, None, Some(snap.clone()), n_workers),
+                tenant_config(
+                    "acme",
+                    DatasetPreset::Recidivism,
+                    None,
+                    Some(snap.clone()),
+                    n_workers,
+                ),
                 tenant_config("globex", DatasetPreset::Recidivism, None, None, n_workers),
             ],
             LifecyclePolicy {

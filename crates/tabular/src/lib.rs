@@ -20,7 +20,6 @@
 pub mod dataset;
 pub mod discretize;
 pub mod io;
-pub mod mdlp;
 pub mod schema;
 pub mod split;
 pub mod stats;
@@ -30,7 +29,6 @@ pub mod value;
 pub use dataset::{Column, Dataset, DiscreteTable};
 pub use discretize::{BinSpec, Discretizer};
 pub use io::{read_csv, write_csv, CsvDataset, CsvError};
-pub use mdlp::{apply_cuts, mdlp_cut_points};
 pub use schema::{AttrKind, Attribute, Schema};
 pub use split::{train_test_split, Split};
 pub use stats::TrainingStats;

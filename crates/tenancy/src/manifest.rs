@@ -149,13 +149,9 @@ impl TenantManifest {
             t.csv = resolve(&t.csv);
             t.warm_from = t.warm_from.as_deref().map(resolve);
         }
-        m.snapshot_dir = m.snapshot_dir.map(|d| {
-            if d.is_absolute() {
-                d
-            } else {
-                base.join(d)
-            }
-        });
+        m.snapshot_dir = m
+            .snapshot_dir
+            .map(|d| if d.is_absolute() { d } else { base.join(d) });
         Ok(m)
     }
 
@@ -199,12 +195,12 @@ impl TenantSpec {
                 .get("warm_rows")
                 .and_then(Json::as_u64)
                 .map_or(200, |r| r as usize),
-            threads: t
-                .get("threads")
-                .and_then(Json::as_u64)
-                .map(|n| n as usize),
+            threads: t.get("threads").and_then(Json::as_u64).map(|n| n as usize),
             quota: t.get("quota").and_then(Json::as_u64).map(|q| q as usize),
-            warm_from: t.get("warm_from").and_then(Json::as_str).map(str::to_string),
+            warm_from: t
+                .get("warm_from")
+                .and_then(Json::as_str)
+                .map(str::to_string),
             name,
         })
     }

@@ -445,12 +445,10 @@ impl<C: Classifier> TenantRegistry<C> {
         let t0 = Instant::now();
         cell.phase
             .store(Lifecycle::Warming as u8, Ordering::Release);
-        let source = state.warm_from.take().or_else(|| {
-            cell.snapshot_path
-                .as_ref()
-                .filter(|p| p.exists())
-                .cloned()
-        });
+        let source = state
+            .warm_from
+            .take()
+            .or_else(|| cell.snapshot_path.as_ref().filter(|p| p.exists()).cloned());
         let bytes = source.as_ref().and_then(|p| std::fs::read(p).ok());
         let factory = cell
             .factory
@@ -649,7 +647,12 @@ impl<C: Classifier> TenantRegistry<C> {
             }
             if self.multi {
                 let (entries, bytes) = slot
-                    .map(|s| (s.engine.store_entries() as u64, s.engine.store_bytes() as u64))
+                    .map(|s| {
+                        (
+                            s.engine.store_entries() as u64,
+                            s.engine.store_bytes() as u64,
+                        )
+                    })
                     .unwrap_or((0, 0));
                 self.obs
                     .gauge(&names::tenant_metric(&cell.name, "warm_entries"))
@@ -662,7 +665,9 @@ impl<C: Classifier> TenantRegistry<C> {
                     .set(u64::from(cell.phase.load(Ordering::Acquire)));
             }
         }
-        self.obs.gauge(names::TENANCY_WARM_TENANTS).set(warm_tenants);
+        self.obs
+            .gauge(names::TENANCY_WARM_TENANTS)
+            .set(warm_tenants);
         self.obs.gauge(names::TENANCY_WARM_BYTES).set(warm_bytes);
     }
 
@@ -714,7 +719,12 @@ impl<C: Classifier> TenantRegistry<C> {
                 let cell = &self.tenants[idx];
                 let (entries, bytes) = self
                     .slot(idx)
-                    .map(|s| (s.engine.store_entries() as u64, s.engine.store_bytes() as u64))
+                    .map(|s| {
+                        (
+                            s.engine.store_entries() as u64,
+                            s.engine.store_bytes() as u64,
+                        )
+                    })
                     .unwrap_or((0, 0));
                 TenantStatus {
                     name: Arc::clone(&cell.name),

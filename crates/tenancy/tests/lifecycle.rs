@@ -102,7 +102,10 @@ fn explain_all(slot: &Arc<WarmSlot<MajorityClass>>) -> Vec<FeatureWeights> {
 fn tenants_materialize_lazily_and_exactly_once() {
     let obs = MetricsRegistry::new();
     let reg = TenantRegistry::new(
-        vec![tenant_config("acme", None, None, None), tenant_config("globex", None, None, None)],
+        vec![
+            tenant_config("acme", None, None, None),
+            tenant_config("globex", None, None, None),
+        ],
         0,
         LifecyclePolicy::default(),
         &obs,
@@ -117,11 +120,16 @@ fn tenants_materialize_lazily_and_exactly_once() {
     assert!(!cold.hydrated, "no snapshot configured");
     assert!(cold.rejection.is_none());
     assert_eq!(reg.lifecycle(0), Lifecycle::Warm);
-    assert_eq!(reg.lifecycle(1), Lifecycle::Cold, "untouched tenant stays cold");
+    assert_eq!(
+        reg.lifecycle(1),
+        Lifecycle::Cold,
+        "untouched tenant stays cold"
+    );
     assert_eq!(obs.counter(names::TENANCY_COLD_STARTS).get(), 1);
     assert_eq!(obs.histogram(names::TENANCY_COLD_START_LATENCY).count(), 1);
     assert_eq!(
-        obs.counter(&names::tenant_metric("acme", "cold_starts")).get(),
+        obs.counter(&names::tenant_metric("acme", "cold_starts"))
+            .get(),
         1
     );
 
@@ -139,7 +147,10 @@ fn tenants_materialize_lazily_and_exactly_once() {
 fn quota_gates_admission_and_counts_rejections() {
     let obs = MetricsRegistry::new();
     let reg = TenantRegistry::new(
-        vec![tenant_config("acme", Some(2), None, None), tenant_config("globex", Some(0), None, None)],
+        vec![
+            tenant_config("acme", Some(2), None, None),
+            tenant_config("globex", Some(0), None, None),
+        ],
         0,
         LifecyclePolicy::default(),
         &obs,
@@ -149,7 +160,8 @@ fn quota_gates_admission_and_counts_rejections() {
     assert!(!reg.try_admit(0), "third concurrent request is over quota");
     assert_eq!(obs.counter(names::TENANCY_QUOTA_REJECTIONS).get(), 1);
     assert_eq!(
-        obs.counter(&names::tenant_metric("acme", "quota_rejections")).get(),
+        obs.counter(&names::tenant_metric("acme", "quota_rejections"))
+            .get(),
         1
     );
     reg.release(0);
@@ -169,7 +181,10 @@ fn quota_gates_admission_and_counts_rejections() {
 fn routing_resolves_default_and_counts_unknown_tenants() {
     let obs = MetricsRegistry::new();
     let reg = TenantRegistry::new(
-        vec![tenant_config("acme", None, None, None), tenant_config("globex", None, None, None)],
+        vec![
+            tenant_config("acme", None, None, None),
+            tenant_config("globex", None, None, None),
+        ],
         1,
         LifecyclePolicy::default(),
         &obs,
@@ -198,7 +213,10 @@ fn eviction_snapshots_and_readmission_is_classifier_free_and_bit_identical() {
     let (slot, _) = reg.ensure_warm(0);
     let before = explain_all(&slot);
     let invocations_before = slot.engine.invocations();
-    assert!(invocations_before > 0, "cold prime must call the classifier");
+    assert!(
+        invocations_before > 0,
+        "cold prime must call the classifier"
+    );
     drop(slot);
 
     assert!(!snap.exists());
@@ -222,7 +240,11 @@ fn eviction_snapshots_and_readmission_is_classifier_free_and_bit_identical() {
         0,
         "hydration must not touch the classifier"
     );
-    assert_eq!(explain_all(&slot), before, "re-admitted engine is bit-identical");
+    assert_eq!(
+        explain_all(&slot),
+        before,
+        "re-admitted engine is bit-identical"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -231,7 +253,10 @@ fn eviction_snapshots_and_readmission_is_classifier_free_and_bit_identical() {
 fn eviction_refuses_inflight_and_cold_tenants() {
     let obs = MetricsRegistry::new();
     let reg = TenantRegistry::new(
-        vec![tenant_config("acme", None, None, None), tenant_config("globex", None, None, None)],
+        vec![
+            tenant_config("acme", None, None, None),
+            tenant_config("globex", None, None, None),
+        ],
         0,
         LifecyclePolicy::default(),
         &obs,
@@ -263,13 +288,23 @@ fn single_tenant_wrapper_never_evicts_and_stays_unlabeled() {
     ));
     let reg = TenantRegistry::single(Arc::clone(&engine), None);
     assert!(!reg.multi());
-    assert_eq!(reg.lifecycle(0), Lifecycle::Warm, "wrapped engine is already warm");
+    assert_eq!(
+        reg.lifecycle(0),
+        Lifecycle::Warm,
+        "wrapped engine is already warm"
+    );
     assert_eq!(reg.resolve(None), Some(0));
     assert_eq!(reg.evict(0), Err(EvictRefused::NotRebuildable));
     let (slot, cold) = reg.ensure_warm(0);
     assert!(cold.is_none());
-    assert!(slot.engine.tenant().is_none(), "no tenant label single-tenant");
-    assert!(reg.enforce().is_empty(), "lifecycle never touches the sole engine");
+    assert!(
+        slot.engine.tenant().is_none(),
+        "no tenant label single-tenant"
+    );
+    assert!(
+        reg.enforce().is_empty(),
+        "lifecycle never touches the sole engine"
+    );
 }
 
 #[test]
@@ -298,7 +333,11 @@ fn idle_and_budget_enforcement_evict_lru_first() {
 
     let evicted = reg.enforce();
     let order: Vec<&str> = evicted.iter().map(|(n, _)| &**n).collect();
-    assert_eq!(order, ["acme", "globex"], "LRU (least recently used) goes first");
+    assert_eq!(
+        order,
+        ["acme", "globex"],
+        "LRU (least recently used) goes first"
+    );
     assert!(evicted.iter().all(|(_, why)| *why == "budget"));
     assert_eq!(reg.lifecycle(0), Lifecycle::Evicted);
     assert_eq!(reg.lifecycle(1), Lifecycle::Evicted);
@@ -306,7 +345,10 @@ fn idle_and_budget_enforcement_evict_lru_first() {
 
     // Idle keepalive: re-warm one tenant, let it sit past the keepalive.
     let reg = TenantRegistry::new(
-        vec![tenant_config("acme", None, None, None), tenant_config("globex", None, None, None)],
+        vec![
+            tenant_config("acme", None, None, None),
+            tenant_config("globex", None, None, None),
+        ],
         0,
         LifecyclePolicy {
             memory_budget_bytes: None,
@@ -349,11 +391,17 @@ fn warm_from_overrides_the_first_hydration_only() {
         &obs,
     );
     let (slot, cold) = reg.ensure_warm(0);
-    assert!(cold.expect("cold start").hydrated, "warm_from seeds the first start");
+    assert!(
+        cold.expect("cold start").hydrated,
+        "warm_from seeds the first start"
+    );
     assert_eq!(slot.engine.invocations(), 0);
     drop(slot);
     reg.evict(0).expect("evicts");
-    assert!(snap.exists(), "at-evict snapshot lands in the lifecycle layout");
+    assert!(
+        snap.exists(),
+        "at-evict snapshot lands in the lifecycle layout"
+    );
 
     // Second start must use the lifecycle's own snapshot, not warm_from.
     std::fs::remove_file(&seeded).unwrap();

@@ -801,8 +801,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let warm_from_bytes: Option<Vec<u8>> = match flags.get("warm-from") {
         None => None,
         Some(p) => Some(
-            std::fs::read(p)
-                .map_err(|e| format!("cannot read --warm-from snapshot '{p}': {e}"))?,
+            std::fs::read(p).map_err(|e| format!("cannot read --warm-from snapshot '{p}': {e}"))?,
         ),
     };
 
@@ -996,8 +995,8 @@ fn cmd_serve_manifest(flags: &HashMap<String, String>) -> Result<ExitCode, Strin
                 spec.name, spec.csv
             )
         })?;
-        let csv =
-            read_csv(file, Some(&spec.label)).map_err(|e| format!("tenant \"{}\": {e}", spec.name))?;
+        let csv = read_csv(file, Some(&spec.label))
+            .map_err(|e| format!("tenant \"{}\": {e}", spec.name))?;
         let labels = csv.labels.ok_or_else(|| {
             format!(
                 "tenant \"{}\": label column '{}' produced no labels",

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use shahin_fim::{apriori, fpgrowth, AprioriParams, BitsetDomain, Item, Itemset};
+use shahin_fim::{apriori, AprioriParams, BitsetDomain, Item, Itemset};
 use shahin_linalg::{constrained_wls, kendall_tau, ridge, Matrix};
 use shahin_tabular::DiscreteTable;
 
@@ -121,13 +121,38 @@ proptest! {
     }
 
     #[test]
-    fn fpgrowth_equals_apriori(table in table_strategy(), sup in 0.1f64..0.9) {
-        // The two miners must agree exactly: same itemsets, same counts,
-        // same order.
+    fn apriori_equals_brute_force_enumeration(table in table_strategy(), sup in 0.1f64..0.9) {
+        // Completeness: every itemset of up to 3 items that occurs in some
+        // row is enumerated, counted row by row, and kept when frequent;
+        // apriori must return exactly these, with the same counts and order.
         let p = AprioriParams { min_support: sup, max_len: 3, max_itemsets: usize::MAX };
-        let ap = apriori(&table, &p).frequent;
-        let fp = fpgrowth(&table, &p);
-        prop_assert_eq!(ap, fp);
+        let n = table.n_rows();
+        let min_count = ((sup * n as f64).ceil() as u64).max(1);
+        let mut candidates = std::collections::BTreeSet::new();
+        for r in 0..n {
+            let items: Vec<Item> =
+                table.row(r).iter().enumerate().map(|(a, &c)| Item::new(a, c)).collect();
+            for mask in 1u32..(1 << items.len()) {
+                if mask.count_ones() <= 3 {
+                    let picked = (0..items.len()).filter(|i| mask >> i & 1 == 1);
+                    candidates.insert(Itemset::new(picked.map(|i| items[i]).collect()));
+                }
+            }
+        }
+        let mut brute: Vec<(Itemset, u64)> = candidates
+            .into_iter()
+            .map(|s| {
+                let count = (0..n).filter(|&r| s.contained_in(&table.row(r))).count() as u64;
+                (s, count)
+            })
+            .filter(|(_, c)| *c >= min_count)
+            .collect();
+        brute.sort_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then(b.0.len().cmp(&a.0.len()))
+                .then(a.0.cmp(&b.0))
+        });
+        prop_assert_eq!(apriori(&table, &p).frequent, brute);
     }
 
     #[test]

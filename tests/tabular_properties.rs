@@ -8,8 +8,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use shahin_tabular::{
-    mdlp_cut_points, read_csv, train_test_split, write_csv, Attribute, Column, Dataset,
-    Discretizer, Feature, Schema, TrainingStats,
+    read_csv, train_test_split, write_csv, Attribute, Column, Dataset, Discretizer, Feature,
+    Schema, TrainingStats,
 };
 
 fn numeric_dataset(values: Vec<f64>) -> Dataset {
@@ -88,22 +88,6 @@ proptest! {
         for r in 0..s.train.n_rows() {
             let x = s.train.feature(r, 0).num() as usize;
             prop_assert_eq!(s.train_labels[r], (x % 2) as u8);
-        }
-    }
-
-    #[test]
-    fn mdlp_cuts_are_sorted_and_within_range(
-        mut values in proptest::collection::vec(-20.0f64..20.0, 8..80),
-        flip in -10.0f64..10.0,
-    ) {
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let labels: Vec<u8> = values.iter().map(|&v| u8::from(v > flip)).collect();
-        let cuts = mdlp_cut_points(&values, &labels, 8);
-        prop_assert!(cuts.windows(2).all(|w| w[0] < w[1]), "unsorted {cuts:?}");
-        prop_assert!(cuts.len() < 8);
-        if let (Some(&first), Some(&last)) = (cuts.first(), cuts.last()) {
-            prop_assert!(first >= values[0]);
-            prop_assert!(last <= values[values.len() - 1]);
         }
     }
 
