@@ -30,7 +30,7 @@ use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shahin_explain::anchor::{rule_coverage, RuleSampler};
+use shahin_explain::anchor::RuleSampler;
 use shahin_explain::{labeled_perturbation, ExplainContext};
 use shahin_fim::Itemset;
 use shahin_model::Classifier;
@@ -391,7 +391,7 @@ impl<C: Classifier> RuleSampler for CachingRuleSampler<'_, C> {
         self.stats.cache_misses += 1;
         // Computed outside the lock; coverage is a pure function of the
         // rule, so a racing double-computation inserts the same value.
-        let c = rule_coverage(self.ctx.coverage_sample(), rule);
+        let c = self.ctx.rule_coverage(rule);
         self.caches.lock_shard(idx).coverage.insert(rule.clone(), c);
         c
     }

@@ -475,7 +475,7 @@ impl<C: Classifier> RuleSampler for GreedyRuleSampler<'_, C> {
     }
 
     fn coverage(&mut self, rule: &Itemset) -> f64 {
-        shahin_explain::anchor::rule_coverage(self.ctx.coverage_sample(), rule)
+        self.ctx.rule_coverage(rule)
     }
 }
 

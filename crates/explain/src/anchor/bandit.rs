@@ -92,6 +92,49 @@ pub fn beta(n_arms: usize, t: u64, delta: f64) -> f64 {
         .max(0.0)
 }
 
+/// The member of `top` with the lowest lower bound, and that bound. Each
+/// bound is computed once; on a tie the first arm wins.
+fn weakest_top(arms: &[ArmState], top: &[usize], beta: f64) -> (usize, f64) {
+    let mut best = (top[0], kl_lower_bound(&arms[top[0]], beta));
+    for &i in &top[1..] {
+        let lower = kl_lower_bound(&arms[i], beta);
+        if lower < best.1 {
+            best = (i, lower);
+        }
+    }
+    best
+}
+
+/// The member of `rest` with the highest upper bound, and that bound. On a
+/// tie the last arm wins.
+///
+/// An arm is skipped without its bisection when its bound provably falls
+/// below the best one so far. The bisection in [`kl_upper_bound`] only
+/// accepts midpoints `q` with `KL(mean ‖ q) ≤ β / n`, and KL does not
+/// decrease in `q` on `[mean, 1]`; so when `KL(mean ‖ best)` already
+/// exceeds `β / n`, every accepted midpoint, and hence the bound, lies
+/// below `best`. The relative and absolute margins cover the rounding
+/// noise of a computed KL (a few ulps of its two logarithms), so the
+/// skip never drops an arm the full computation would have chosen.
+fn strongest_challenger(arms: &[ArmState], rest: &[usize], beta: f64) -> (usize, f64) {
+    let mut best = (rest[0], f64::NEG_INFINITY);
+    for &i in rest {
+        let arm = &arms[i];
+        if arm.n > 0 {
+            let mean = arm.mean();
+            let level = beta / arm.n as f64;
+            if best.1 > mean && kl_bernoulli(mean, best.1) > level * (1.0 + 1e-9) + 1e-12 {
+                continue;
+            }
+        }
+        let upper = kl_upper_bound(arm, beta);
+        if upper >= best.1 {
+            best = (i, upper);
+        }
+    }
+    best
+}
+
 /// Identifies the `top_k` arms by mean with KL-LUCB.
 ///
 /// `pull(arm_idx, batch, state)` draws `batch` more samples for one arm and
@@ -132,25 +175,9 @@ pub fn kl_lucb(
             return top.to_vec();
         }
         let b = beta(n_arms, total_pulls, delta);
-        // Weakest member of the top set (lowest lower bound) and strongest
-        // challenger (highest upper bound).
-        let &lt = top
-            .iter()
-            .min_by(|&&i, &&j| {
-                kl_lower_bound(&arms[i], b)
-                    .partial_cmp(&kl_lower_bound(&arms[j], b))
-                    .expect("finite bounds")
-            })
-            .expect("top set non-empty");
-        let &ut = rest
-            .iter()
-            .max_by(|&&i, &&j| {
-                kl_upper_bound(&arms[i], b)
-                    .partial_cmp(&kl_upper_bound(&arms[j], b))
-                    .expect("finite bounds")
-            })
-            .expect("rest non-empty");
-        let gap = kl_upper_bound(&arms[ut], b) - kl_lower_bound(&arms[lt], b);
+        let (lt, lt_lower) = weakest_top(arms, top, b);
+        let (ut, ut_upper) = strongest_challenger(arms, rest, b);
+        let gap = ut_upper - lt_lower;
         if gap < epsilon || total_pulls >= max_pulls {
             return top.to_vec();
         }
@@ -286,6 +313,200 @@ mod tests {
             batch
         });
         assert!(pulls <= 48, "pulled {pulls} times");
+    }
+
+    /// Reference KL-LUCB: `min_by` / `max_by` evaluate both bounds in
+    /// every comparison and the gap evaluates the winners' bounds again,
+    /// with no challenger skipped. The exactness tests hold `kl_lucb` to
+    /// it.
+    #[allow(clippy::too_many_arguments)]
+    fn kl_lucb_reference(
+        arms: &mut [ArmState],
+        top_k: usize,
+        epsilon: f64,
+        delta: f64,
+        batch: usize,
+        max_pulls: u64,
+        mut pull: impl FnMut(usize, usize, &mut ArmState) -> usize,
+    ) -> Vec<usize> {
+        let k = top_k.min(arms.len());
+        let n_arms = arms.len();
+        let mut total_pulls: u64 = arms.iter().map(|a| a.n).sum();
+        let mut exhausted = vec![false; n_arms];
+        loop {
+            let mut order: Vec<usize> = (0..n_arms).collect();
+            order.sort_by(|&i, &j| {
+                arms[j]
+                    .mean()
+                    .partial_cmp(&arms[i].mean())
+                    .expect("finite means")
+                    .then(i.cmp(&j))
+            });
+            let (top, rest) = order.split_at(k);
+            if rest.is_empty() {
+                return top.to_vec();
+            }
+            let b = beta(n_arms, total_pulls, delta);
+            let (lt, ut) = reference_selection(arms, top, rest, b);
+            let gap = kl_upper_bound(&arms[ut], b) - kl_lower_bound(&arms[lt], b);
+            if gap < epsilon || total_pulls >= max_pulls {
+                return top.to_vec();
+            }
+            let mut progressed = false;
+            for idx in [ut, lt] {
+                if exhausted[idx] {
+                    continue;
+                }
+                let drawn = pull(idx, batch, &mut arms[idx]);
+                if drawn == 0 {
+                    exhausted[idx] = true;
+                } else {
+                    total_pulls += drawn as u64;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                return top.to_vec();
+            }
+        }
+    }
+
+    /// `(weakest top arm, strongest challenger)` by `min_by` / `max_by`.
+    fn reference_selection(
+        arms: &[ArmState],
+        top: &[usize],
+        rest: &[usize],
+        b: f64,
+    ) -> (usize, usize) {
+        let &lt = top
+            .iter()
+            .min_by(|&&i, &&j| {
+                kl_lower_bound(&arms[i], b)
+                    .partial_cmp(&kl_lower_bound(&arms[j], b))
+                    .expect("finite bounds")
+            })
+            .expect("top set non-empty");
+        let &ut = rest
+            .iter()
+            .max_by(|&&i, &&j| {
+                kl_upper_bound(&arms[i], b)
+                    .partial_cmp(&kl_upper_bound(&arms[j], b))
+                    .expect("finite bounds")
+            })
+            .expect("rest non-empty");
+        (lt, ut)
+    }
+
+    /// An arm from raw draws: `kind` 0 is unpulled, 1 never succeeded,
+    /// 2 always succeeded, anything else a `frac` share of successes;
+    /// `n` is below `2^log_n` (up to `2^40`).
+    fn arm_from((kind, log_n, raw, frac): (u8, u32, u64, f64)) -> ArmState {
+        if kind == 0 {
+            return ArmState::default();
+        }
+        let n = (raw % (1u64 << log_n)).max(1);
+        let successes = match kind {
+            1 => 0,
+            2 => n,
+            _ => ((frac * n as f64) as u64).min(n),
+        };
+        ArmState { n, successes }
+    }
+
+    /// Random arms with duplicates: `fresh` arms, then copies of the arms
+    /// that `dups` point at.
+    fn arms_with_duplicates(fresh: Vec<(u8, u32, u64, f64)>, dups: &[usize]) -> Vec<ArmState> {
+        let mut arms: Vec<ArmState> = fresh.into_iter().map(arm_from).collect();
+        let n = arms.len();
+        for &d in dups {
+            arms.push(arms[d % n]);
+        }
+        arms
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The bound-once selection picks the same weakest top arm and the
+        /// same strongest challenger as `min_by` / `max_by`, with the same
+        /// bound bits, including ties between duplicated arms.
+        #[test]
+        fn selection_matches_min_by_max_by(
+            fresh in proptest::collection::vec((0u8..6, 0u32..=40, 0u64..u64::MAX, 0.0f64..=1.0), 1..40),
+            dups in proptest::collection::vec(0usize..1000, 0..12),
+            split in 1usize..8,
+            b in 0.0f64..=60.0,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let arms = arms_with_duplicates(fresh, &dups);
+            if arms.len() < 2 {
+                return Ok(());
+            }
+            let order: Vec<usize> = (0..arms.len()).rev().collect();
+            let (top, rest) = order.split_at(split.min(arms.len() - 1));
+            let (lt, ut) = reference_selection(&arms, top, rest, b);
+            let (got_lt, lower) = weakest_top(&arms, top, b);
+            let (got_ut, upper) = strongest_challenger(&arms, rest, b);
+            prop_assert_eq!(got_lt, lt);
+            prop_assert_eq!(got_ut, ut);
+            prop_assert_eq!(lower.to_bits(), kl_lower_bound(&arms[lt], b).to_bits());
+            prop_assert_eq!(upper.to_bits(), kl_upper_bound(&arms[ut], b).to_bits());
+        }
+
+        /// Whole searches: `kl_lucb` returns the reference's top set after
+        /// the reference's exact pull sequence. Most arms start small so
+        /// searches run many rounds; a `huge` arm (n up to 2^40) joins
+        /// half of them, and the budget counts from the starting total.
+        #[test]
+        fn kl_lucb_matches_the_reference_pull_sequence(
+            fresh in proptest::collection::vec((0u8..6, 0u32..=10, 0u64..u64::MAX, 0.0f64..=1.0), 1..36),
+            huge in proptest::collection::vec((1u8..6, 30u32..=40, 0u64..u64::MAX, 0.0f64..=1.0), 0..2),
+            dups in proptest::collection::vec(0usize..1000, 0..8),
+            truth_seed in 0u64..u64::MAX,
+            top_k in 1usize..4,
+            epsilon in 0.0f64..=0.3,
+            delta in 0.01f64..=0.5,
+            batch in 1usize..=32,
+            extra_pulls in 0u64..4000,
+            exhaust_after in 0u64..400,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let mut start = arms_with_duplicates(fresh, &dups);
+            start.extend(huge.into_iter().map(arm_from));
+            let max_pulls = start.iter().map(|a| a.n).sum::<u64>() + extra_pulls;
+            // Per-arm success probabilities; an arm stops yielding samples
+            // once it has received `exhaust_after` of them from the search.
+            let truth: Vec<f64> = {
+                let mut rng = StdRng::seed_from_u64(truth_seed);
+                start.iter().map(|_| rng.gen()).collect()
+            };
+            let search = |reference: bool| {
+                let mut arms = start.clone();
+                let mut rng = StdRng::seed_from_u64(truth_seed ^ 1);
+                let mut given = vec![0u64; arms.len()];
+                let mut log = Vec::new();
+                let pull = |idx: usize, batch: usize, arm: &mut ArmState| {
+                    log.push(idx);
+                    let k = (batch as u64).min(exhaust_after.saturating_sub(given[idx]));
+                    given[idx] += k;
+                    for _ in 0..k {
+                        arm.n += 1;
+                        arm.successes += u64::from(rng.gen_bool(truth[idx]));
+                    }
+                    k as usize
+                };
+                let top = if reference {
+                    kl_lucb_reference(&mut arms, top_k, epsilon, delta, batch, max_pulls, pull)
+                } else {
+                    kl_lucb(&mut arms, top_k, epsilon, delta, batch, max_pulls, pull)
+                };
+                (top, log)
+            };
+            let (top, log) = search(false);
+            let (ref_top, ref_log) = search(true);
+            prop_assert_eq!(log, ref_log);
+            prop_assert_eq!(top, ref_top);
+        }
     }
 
     #[test]

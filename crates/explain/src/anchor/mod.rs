@@ -27,7 +27,7 @@ use crate::context::ExplainContext;
 use crate::explanation::AnchorExplanation;
 
 use bandit::{beta, kl_lower_bound, kl_lucb, kl_upper_bound, ArmState};
-pub use sampler::{rule_coverage, FreshRuleSampler, RuleSampler};
+pub use sampler::{FreshRuleSampler, RuleSampler};
 
 /// Anchor hyperparameters. The paper's defaults: `ε = 0.1`, `δ = 0.05`.
 #[derive(Clone, Debug)]

@@ -4,7 +4,10 @@ use std::sync::Arc;
 
 use rand::Rng;
 
+use shahin_fim::Itemset;
 use shahin_tabular::{Dataset, DiscreteTable, Discretizer, Schema, TrainingStats};
+
+use crate::anchor::sampler::CoverageBitmaps;
 
 /// State every explainer needs, fitted once per (training set) and shared
 /// across all explanations of a batch:
@@ -13,13 +16,14 @@ use shahin_tabular::{Dataset, DiscreteTable, Discretizer, Schema, TrainingStats}
 /// * per-attribute training [`TrainingStats`] (the perturbation
 ///   distribution),
 /// * a discretized sample of training rows used for Anchor coverage
-///   estimation.
+///   estimation, with one row bitmap per `(attribute, code)` over it.
 #[derive(Clone, Debug)]
 pub struct ExplainContext {
     schema: Arc<Schema>,
     discretizer: Discretizer,
     stats: TrainingStats,
     coverage_sample: DiscreteTable,
+    coverage_bitmaps: CoverageBitmaps,
 }
 
 impl ExplainContext {
@@ -40,11 +44,13 @@ impl ExplainContext {
                 rand::seq::index::sample(rng, table.n_rows(), coverage_rows).into_vec();
             table.select(&idx)
         };
+        let coverage_bitmaps = CoverageBitmaps::new(&coverage_sample);
         ExplainContext {
             schema: Arc::clone(train.schema()),
             discretizer,
             stats,
             coverage_sample,
+            coverage_bitmaps,
         }
     }
 
@@ -76,6 +82,13 @@ impl ExplainContext {
     #[inline]
     pub fn coverage_sample(&self) -> &DiscreteTable {
         &self.coverage_sample
+    }
+
+    /// Coverage of an Anchor rule: the fraction of coverage-sample rows
+    /// satisfying every item (1 for the empty rule, 0 for codes no row
+    /// holds), counted by ANDing the items' row bitmaps.
+    pub fn rule_coverage(&self, rule: &Itemset) -> f64 {
+        self.coverage_bitmaps.coverage(rule)
     }
 }
 

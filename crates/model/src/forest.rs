@@ -95,6 +95,16 @@ impl RandomForest {
         }
     }
 
+    /// Workers for an `n_rows` batch: the machine's parallelism, probed
+    /// only when the batch is large enough to split (the probe reads
+    /// cgroup files on Linux, tens of microseconds per call).
+    fn workers_for(n_rows: usize) -> usize {
+        if n_rows < 2 * Self::MIN_ROWS_PER_WORKER {
+            return 1;
+        }
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+
     /// [`Classifier::predict_proba_flat`] with an explicit worker count
     /// (clamped so each worker gets at least
     /// `MIN_ROWS_PER_WORKER` rows). Row order — and hence the
@@ -153,16 +163,15 @@ impl Classifier for RandomForest {
     /// to amortize the spawns. Row order (and hence the output) is
     /// independent of the thread count.
     fn predict_proba_batch(&self, instances: &[Vec<Feature>]) -> Vec<f64> {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.predict_batch_with(instances, workers)
+        self.predict_batch_with(instances, Self::workers_for(instances.len()))
     }
 
     /// The allocation-free fast path: batched rows arrive already packed
     /// into one flat row-major buffer and go straight to the chunked
     /// traversal loop.
     fn predict_proba_flat(&self, rows: &[Feature], n_attrs: usize) -> Vec<f64> {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.predict_flat_with(rows, n_attrs, workers)
+        let n_rows = rows.len().checked_div(n_attrs).unwrap_or(0);
+        self.predict_flat_with(rows, n_attrs, Self::workers_for(n_rows))
     }
 }
 

@@ -1,9 +1,11 @@
-//! Golden-fingerprint tests for the forest walker and the itemset matcher
-//! (DESIGN.md §5g). The committed fingerprints and invocation counts were
-//! captured while a second forest layout and a second matcher still
-//! existed and every test asserted that both agreed; any drift in the one
-//! remaining path changes them. The bitset matcher is also checked
-//! against brute-force containment on random families.
+//! Golden-fingerprint tests for the forest walker, the itemset matcher and
+//! Anchor's search (DESIGN.md §5g). The committed fingerprints and
+//! invocation counts were captured while a second forest layout and a
+//! second matcher still existed and every test asserted that both agreed;
+//! the Sequential Anchor golden was captured before the search computed
+//! each confidence bound once and counted coverage by row bitmaps. Any
+//! drift in the one remaining path changes them. The bitset matcher is
+//! also checked against brute-force containment on random families.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -172,6 +174,11 @@ const GOLDEN_DRIVERS: [(&str, usize, u64, u64); 7] = [
     ("Anchor", 1, 91461, 0x0d5c_46af_37c1_9e2d),
 ];
 
+/// `(invocations, explanation fingerprint)` of `Sequential` Anchor on the
+/// [`forest_world`] batch at seed 23: the fresh-sampling path
+/// (`FreshRuleSampler`), which the `Batch` goldens above do not reach.
+const GOLDEN_SEQUENTIAL_ANCHOR: (u64, u64) = (169_310, 0x1754_3859_d8be_9695);
+
 /// Batched predictions at every worker count, and single-row
 /// predictions, reproduce the golden fingerprint bit for bit.
 #[test]
@@ -238,4 +245,20 @@ fn drivers_match_golden_fingerprints() {
         }
     }
     assert!(failures.is_empty(), "golden drift: {failures:#?}");
+}
+
+/// Sequential Anchor returns the golden explanations and invocation count.
+#[test]
+fn sequential_anchor_matches_golden_fingerprint() {
+    let (_, forest, ctx, batch) = forest_world();
+    let clf = CountingClassifier::new(forest);
+    let anchor = ExplainerKind::Anchor(AnchorExplainer::default());
+    let report = run(&Method::Sequential, &anchor, &ctx, &clf, &batch, 23);
+    assert_eq!(
+        (
+            clf.invocations(),
+            explanation_fingerprint(&report.explanations)
+        ),
+        GOLDEN_SEQUENTIAL_ANCHOR
+    );
 }
